@@ -61,7 +61,7 @@ from repro.api.resilience import (
     is_retryable,
     mark_retryable,
 )
-from repro.api.server import _apply_mask, encode_ws_frame, ws_accept_value
+from repro.api.server import apply_ws_mask, encode_ws_frame, ws_accept_value
 from repro.api.spec import Provenance, QueryResult, QuerySpec, WindowSpec
 from repro.exceptions import (
     CircuitOpenError,
@@ -185,7 +185,7 @@ class _WsClientConnection:
                 length = int.from_bytes(self._read_exactly(8), "big")
             if head[1] & 0x80:  # masked server frame: protocol violation
                 mask = self._read_exactly(4)
-                payload = _apply_mask(self._read_exactly(length), mask)
+                payload = apply_ws_mask(self._read_exactly(length), mask)
             else:
                 payload = self._read_exactly(length)
             if opcode >= 0x8:

@@ -1,7 +1,13 @@
-"""Stdlib-only asyncio HTTP/1.1 + WebSocket server over one TsubasaService.
+"""One request core for every transport, behind three byte adapters.
 
-:class:`TsubasaServer` lifts the query surface onto a real socket. One
-listening socket speaks both protocols:
+:class:`TsubasaServer` owns the transport-neutral request core: a decoded
+frame goes through :func:`~repro.api.protocol.parse_request` and one id
+fallback, then either through the service as a query (a completion comes
+back) or through the one subscription loop, which bridges a
+:class:`~repro.streams.hub.SnapshotHub` into
+:class:`~repro.api.protocol.StreamEvent` envelopes (ack, gap, events, then a
+completion or a lag error). Three adapters only move bytes in and
+envelopes out:
 
 * **HTTP/1.1** (keep-alive) for request/response:
 
@@ -17,12 +23,14 @@ listening socket speaks both protocols:
   ============================  =============================================
 
 * **RFC 6455 WebSockets** on ``GET /v1/ws``: each text message is a request
-  frame; completions come back **out of order**, matched by ``id``. The
-  ``subscribe`` op is only available here — it bridges a
-  :class:`~repro.streams.hub.SnapshotHub` into
-  :class:`~repro.api.protocol.StreamEvent` pushes.
+  frame; completions come back **out of order**, matched by ``id``, and
+  ``subscribe`` streams into the connection's bounded send queue.
+* **JSON lines** (:meth:`TsubasaServer.serve_json_lines`, the default
+  ``tsubasa serve`` mode): one request frame per input line, one envelope
+  per output line, queries answered in submission order and
+  ``subscribe`` streams interleaved with them.
 
-Deployment properties:
+HTTP and WebSocket share one listening socket. Deployment properties:
 
 * **Per-client backpressure** — every WebSocket connection owns a bounded
   send queue drained by a writer task. A consumer that stops reading fills
@@ -36,7 +44,8 @@ Deployment properties:
 * **Graceful drain** — :meth:`TsubasaServer.aclose` stops accepting, lets
   in-flight requests finish (bounded by ``drain_timeout``), closes
   WebSocket sessions with a going-away frame, and drains the underlying
-  service via its own ``aclose()``.
+  service via its own ``aclose()``. :meth:`TsubasaServer.pumping` gives
+  every entry point the same live-stream lifecycle.
 
 Everything is standard library: ``asyncio`` streams, ``hashlib``/``base64``
 for the WebSocket handshake. :func:`serve_in_thread` runs the whole stack on
@@ -48,14 +57,16 @@ from __future__ import annotations
 
 import asyncio
 import base64
+import contextlib
 import hashlib
 import json
 import logging
 import os
 import socket
 import threading
+from collections.abc import AsyncIterator, Awaitable, Callable, Iterable
 from time import perf_counter
-from typing import Any, Callable
+from typing import Any, TextIO
 from urllib.parse import parse_qs
 
 from repro.api.frames import (
@@ -89,6 +100,7 @@ __all__ = [
     "TsubasaServer",
     "ServerHandle",
     "serve_in_thread",
+    "apply_ws_mask",
     "encode_ws_frame",
     "ws_accept_value",
 ]
@@ -164,7 +176,7 @@ class _BadRequest(DataError):
         self.status = status
 
 
-def _apply_mask(data: bytes, mask: bytes) -> bytes:
+def apply_ws_mask(data: bytes, mask: bytes) -> bytes:
     """XOR-(un)mask a WebSocket payload (RFC 6455 §5.3)."""
     if not data:
         return b""
@@ -189,7 +201,7 @@ def encode_ws_frame(opcode: int, payload: bytes, mask: bool = False) -> bytes:
         header += length.to_bytes(8, "big")
     if mask:
         key = os.urandom(4)
-        return bytes(header) + key + _apply_mask(payload, key)
+        return bytes(header) + key + apply_ws_mask(payload, key)
     return bytes(header) + payload
 
 
@@ -229,11 +241,6 @@ class _WsSession:
         #: Per-connection max_inflight rejections (summarized at disconnect).
         self.rejections = 0
 
-    def send_json(self, payload: dict[str, Any]) -> bool:
-        """Queue one text frame; on overflow, disconnect the slow consumer."""
-        data = json.dumps(payload).encode()
-        return self._enqueue((_OP_TEXT, data))
-
     def send_envelope(self, payload: dict[str, Any]) -> bool:
         """Queue one buffer-free envelope in the session's wire version."""
         started = perf_counter()
@@ -246,6 +253,10 @@ class _WsSession:
             self.protocol, perf_counter() - started, len(data) if sent else 0
         )
         return sent
+
+    async def deliver(self, payload: dict[str, Any]) -> bool:
+        """:meth:`send_envelope` as the sink the subscription loop awaits."""
+        return self.send_envelope(payload)
 
     def send_completion(self, completion: "_Completion") -> bool:
         """Queue one request completion in the session's wire version."""
@@ -346,14 +357,15 @@ class _WsSession:
 
 
 class TsubasaServer:
-    """HTTP/1.1 + WebSocket frontend over one :class:`TsubasaService`.
+    """The request core over one :class:`TsubasaService`, and its adapters.
 
     Args:
         service: The query service answering request frames. The server
             owns its drain: :meth:`aclose` calls ``service.aclose()``.
         hub: Optional :class:`~repro.streams.hub.SnapshotHub` enabling the
-            ``subscribe`` op on WebSocket connections; without one,
-            subscriptions are rejected with a ``ServiceError`` envelope.
+            ``subscribe`` op on WebSocket connections and JSON lines;
+            without one, subscriptions are rejected with a ``ServiceError``
+            envelope.
         max_inflight: Concurrent requests allowed per WebSocket connection
             (and per HTTP batch); excess requests get immediate error
             envelopes.
@@ -371,8 +383,9 @@ class TsubasaServer:
             the server behaves exactly like a v1-only build — the knob
             exists so tests can exercise client fallback against an "old"
             server.
-        send_buffer: Per-WebSocket-client send queue bound, in frames. A
-            client that falls this many frames behind is disconnected.
+        send_buffer: Per-WebSocket-client send queue bound, in frames, and
+            every subscription's event buffer in the hub. A client that
+            falls this many frames behind is disconnected.
         max_body_bytes: Largest accepted HTTP request body.
         max_message_bytes: Largest accepted WebSocket message.
         drain_timeout: Seconds :meth:`aclose` waits for in-flight requests
@@ -642,13 +655,267 @@ class TsubasaServer:
             self._inflight_total -= 1
         return _Completion(request_id, result=result)
 
-    async def _answer_frame(self, payload: Any) -> _Completion:
-        """Parse + execute one raw frame, never raising."""
+    def _parse_frame(
+        self, payload: Any, fallback_id: str | int | None = None
+    ) -> Request | _Completion:
+        """``parse_request`` plus the id fallback every transport shares.
+
+        A valid frame without an id takes ``fallback_id`` (stdin passes the
+        line number; sockets pass nothing and get :meth:`_next_id` ids when
+        answered). An invalid frame becomes its error completion, under the
+        frame's own id only when that id is itself valid, else under
+        ``fallback_id``.
+        """
         try:
             request = parse_request(payload)
         except TsubasaError as exc:
-            return _Completion(self._frame_id(payload), error=exc)
-        return await self._answer(request)
+            frame_id = self._frame_id(payload)
+            return _Completion(
+                fallback_id if frame_id is None else frame_id, error=exc
+            )
+        if request.id is None and fallback_id is not None:
+            request = Request(spec=request.spec, id=fallback_id)
+        return request
+
+    async def _answer_frame(self, payload: Any) -> _Completion:
+        """Parse + execute one raw frame, never raising."""
+        parsed = self._parse_frame(payload)
+        if isinstance(parsed, _Completion):
+            return parsed
+        return await self._answer(parsed)
+
+    async def _stream(
+        self,
+        request: Request,
+        send: Callable[[dict[str, Any]], Awaitable[bool]],
+    ) -> bool:
+        """The subscription loop every streaming transport runs.
+
+        Checks the hub and the window, subscribes, then sends the ack, the
+        gap event a resume may owe, one :class:`StreamEvent` per snapshot,
+        and last the completion — or the error, when the hub dropped this
+        subscriber for lagging. ``send`` queues one envelope and returns
+        False once the transport has given up on its consumer; the stream
+        then stops without another word. Returns whether the subscriber
+        lagged, so the transport can apply its own disconnect policy.
+        """
+        spec = request.spec
+        request_id = request.id if request.id is not None else self._next_id()
+        hub = self._hub
+        try:
+            if hub is None or hub.closed:
+                raise ServiceError(
+                    "this server has no live stream attached; subscribe is "
+                    "unavailable (tsubasa serve attaches one with "
+                    "--stream-data DATA, on stdin or with --http)"
+                )
+            points = _window_points(spec.window, hub.window_size)
+            if points != hub.window_points:
+                raise StreamError(
+                    f"subscribe window selects {points} points, but the "
+                    f"standing query window is {hub.window_points} "
+                    f"points ({hub.window_points // hub.window_size} "
+                    f"basic windows of {hub.window_size})"
+                )
+            # The same bound as the transport's send queue: the documented
+            # per-client backpressure limit applies upstream too.
+            subscription = hub.subscribe(
+                theta=spec.theta,
+                max_pending=self.send_buffer,
+                resume_from=spec.resume_from,
+            )
+        except TsubasaError as exc:
+            await send(ErrorEnvelope.from_exception(exc, request_id).to_dict())
+            return False
+        self.stats["subscriptions_opened"] += 1
+        ack = Response(
+            result={
+                "subscribed": True,
+                "theta": subscription.theta,
+                "window_points": hub.window_points,
+                "window_size": hub.window_size,
+                "last_seq": hub.last_seq,
+            },
+            id=request_id,
+        )
+        events = 0
+        try:
+            if not await send(ack.to_dict()):
+                return False
+            if subscription.pending_gap is not None:
+                # The resume point aged out of the replay ring (or the hub
+                # was restarted). One explicit gap event tells the client
+                # exactly what it missed before normal delivery resumes —
+                # silence here would let it believe the stream is
+                # contiguous.
+                gap = StreamEvent(
+                    seq=max(spec.resume_from or 0, 0),
+                    event=dict(subscription.pending_gap, gap=True),
+                    id=request_id,
+                )
+                if not await send(gap.to_dict()):
+                    return False
+            async for snapshot in subscription:
+                event = StreamEvent.from_snapshot(
+                    snapshot, subscription.theta, subscription.last_seq,
+                    request_id,
+                )
+                if not await send(event.to_dict()):
+                    return False
+                events += 1
+        except StreamError as exc:
+            # The hub dropped this subscriber (its own bound): surface the
+            # reason; the transport decides whether to disconnect.
+            self.stats["slow_consumer_disconnects"] += 1
+            await send(ErrorEnvelope.from_exception(exc, request_id).to_dict())
+            return True
+        finally:
+            subscription.close()
+        # Clean end of stream: the hub closed (source drained).
+        await send(
+            Response(
+                result={
+                    "complete": True,
+                    "events": events,
+                    "last_seq": subscription.last_seq,
+                },
+                id=request_id,
+            ).to_dict()
+        )
+        return False
+
+    @contextlib.asynccontextmanager
+    async def pumping(
+        self,
+        source: Iterable[Any] | None,
+        interval: float = 0.0,
+        max_updates: int | None = None,
+    ) -> AsyncIterator[None]:
+        """Pump ``source`` into the hub for the duration of the block.
+
+        The live-stream lifecycle every entry point shares: when the source
+        drains or the pump crashes, the hub is closed, so subscribers get
+        their completion instead of hanging acked but silent, and a crash
+        is logged. Leaving the block cancels the pump and closes the hub.
+        Without a hub or a source nothing is pumped; a hub is still closed
+        on the way out.
+        """
+        hub = self._hub
+        task: asyncio.Task | None = None
+        if hub is not None and source is not None:
+            task = asyncio.get_running_loop().create_task(
+                hub.pump(source, interval=interval, max_updates=max_updates)
+            )
+            task.add_done_callback(self._pump_done)
+        try:
+            yield
+        finally:
+            if task is not None:
+                task.cancel()
+                try:
+                    await task
+                except (asyncio.CancelledError, Exception):  # noqa: BLE001
+                    pass  # a crash was reported by _pump_done
+            if hub is not None:
+                hub.close()
+
+    def _pump_done(self, task: asyncio.Task) -> None:
+        if task.cancelled() or self._hub is None:
+            return  # shutdown: leaving pumping() closes the hub
+        exc = task.exception()
+        if exc is not None:
+            logger.error("stream pump failed: %s", exc)
+        self._hub.close()
+
+    # -- JSON lines ----------------------------------------------------------
+
+    async def serve_json_lines(
+        self, stdin: TextIO, stdout: TextIO, max_pending: int = 256
+    ) -> dict[str, int]:
+        """Serve request frames from ``stdin`` lines until EOF.
+
+        Each line is a request frame (the framed ``{"protocol": 1, "id":
+        ..., "spec": {...}}`` form or the legacy inline one) and each
+        ``stdout`` line one envelope; a frame without a valid id is
+        answered under its line number. Queries are submitted as they
+        arrive (so in-flight windows coalesce) and answered in submission
+        order. A ``subscribe`` streams its ack, events and completion as
+        lines interleaved with them. Once ``max_pending`` envelopes wait
+        ahead of the printer the reader stops consuming stdin, so a huge
+        piped batch cannot pile up results. EOF stops reading, but open
+        subscriptions stream on until the consumer hangs up (a failed
+        write) or the stream ends.
+
+        Starts the service; the caller closes the server. Returns what the
+        consumer observed: ``ok`` and ``failed`` envelopes written (stream
+        events count as ok), the ``malformed`` frames among the failed, and
+        the envelopes ``discarded`` after a hangup.
+        """
+        await self._service.start()
+        loop = asyncio.get_running_loop()
+        lines: asyncio.Queue = asyncio.Queue(maxsize=max_pending)
+        hangup = asyncio.Event()
+        seen = {"ok": 0, "failed": 0, "malformed": 0, "discarded": 0}
+
+        async def print_lines() -> None:
+            # A query holds its place in line as the task answering it;
+            # everything else is queued as a ready envelope.
+            while (item := await lines.get()) is not None:
+                if isinstance(item, asyncio.Task):
+                    item = (await item).to_dict()
+                if hangup.is_set():
+                    seen["discarded"] += 1
+                    continue
+                try:
+                    stdout.write(json.dumps(item) + "\n")
+                    stdout.flush()
+                except OSError:
+                    hangup.set()  # e.g. `tsubasa serve | head`
+                    seen["discarded"] += 1
+                    continue
+                # Stream events carry no "ok" flag; they are successes.
+                seen["ok" if item.get("ok", "event" in item) else "failed"] += 1
+
+        async def send(envelope: dict[str, Any]) -> bool:
+            await lines.put(envelope)
+            return True
+
+        printer = loop.create_task(print_lines())
+        streams: set[asyncio.Task] = set()
+        n_lines = 0
+        while True:
+            line = await loop.run_in_executor(None, stdin.readline)
+            if not line or hangup.is_set():
+                # EOF, or nobody can observe further responses: stop
+                # submitting work whose results would be discarded.
+                break
+            line = line.strip()
+            if not line:
+                continue
+            n_lines += 1
+            try:
+                payload = json.loads(line)
+            except ValueError as exc:
+                parsed: Request | _Completion = _Completion(n_lines, error=exc)
+            else:
+                parsed = self._parse_frame(payload, n_lines)
+            if isinstance(parsed, _Completion):
+                seen["malformed"] += 1
+                await lines.put(parsed.to_dict())
+            elif parsed.spec.op == "subscribe":
+                task = loop.create_task(self._stream(parsed, send))
+                streams.add(task)
+                task.add_done_callback(streams.discard)
+            else:
+                await lines.put(loop.create_task(self._answer(parsed)))
+        while streams and not hangup.is_set():
+            await asyncio.wait(streams, timeout=0.2)
+        for task in list(streams):
+            task.cancel()
+        await asyncio.gather(*streams, return_exceptions=True)
+        await lines.put(None)
+        await printer
+        return seen
 
     # -- HTTP ----------------------------------------------------------------
 
@@ -1126,14 +1393,9 @@ class TsubasaServer:
             ):
                 self._handle_ws_hello(session, payload)
                 continue
-            try:
-                request = parse_request(payload)
-            except TsubasaError as exc:
-                session.send_envelope(
-                    ErrorEnvelope.from_exception(
-                        exc, self._frame_id(payload)
-                    ).to_dict()
-                )
+            request = self._parse_frame(payload)
+            if isinstance(request, _Completion):
+                session.send_envelope(request.to_dict())
                 continue
             self.stats["ws_requests"] += 1
             self.wire[f"v{session.protocol}"]["requests"] += 1
@@ -1224,113 +1486,10 @@ class TsubasaServer:
         self, session: _WsSession, request: Request
     ) -> None:
         try:
-            await self._subscription_loop(session, request)
+            if await self._stream(request, session.deliver):
+                session.send_close(1008, "subscription lagged")
         finally:
             session.inflight -= 1
-
-    async def _subscription_loop(
-        self, session: _WsSession, request: Request
-    ) -> None:
-        spec = request.spec
-        request_id = request.id if request.id is not None else self._next_id()
-        hub = self._hub
-        if hub is None or hub.closed:
-            session.send_envelope(
-                ErrorEnvelope.from_exception(
-                    ServiceError(
-                        "this server has no live stream attached; "
-                        "subscribe is unavailable"
-                    ),
-                    request_id,
-                ).to_dict()
-            )
-            return
-        points = _window_points(spec.window, hub.window_size)
-        if points != hub.window_points:
-            session.send_envelope(
-                ErrorEnvelope.from_exception(
-                    StreamError(
-                        f"subscribe window selects {points} points, but the "
-                        f"standing query window is {hub.window_points} "
-                        f"points ({hub.window_points // hub.window_size} "
-                        f"basic windows of {hub.window_size})"
-                    ),
-                    request_id,
-                ).to_dict()
-            )
-            return
-        try:
-            # The same bound as the connection's send queue: the documented
-            # per-client backpressure limit applies upstream too.
-            subscription = hub.subscribe(
-                theta=spec.theta,
-                max_pending=self.send_buffer,
-                resume_from=spec.resume_from,
-            )
-        except (StreamError, DataError) as exc:
-            session.send_envelope(
-                ErrorEnvelope.from_exception(exc, request_id).to_dict()
-            )
-            return
-        self.stats["subscriptions_opened"] += 1
-        ack = Response(
-            result={
-                "subscribed": True,
-                "theta": subscription.theta,
-                "window_points": hub.window_points,
-                "window_size": hub.window_size,
-                "last_seq": hub.last_seq,
-            },
-            id=request_id,
-        )
-        if not session.send_envelope(ack.to_dict()):
-            subscription.close()
-            return
-        if subscription.pending_gap is not None:
-            # The resume point aged out of the replay ring (or the hub was
-            # restarted). One explicit gap event tells the client exactly
-            # what it missed before normal delivery resumes — silence here
-            # would let it believe the stream is contiguous.
-            gap = StreamEvent(
-                seq=max(spec.resume_from or 0, 0),
-                event=dict(subscription.pending_gap, gap=True),
-                id=request_id,
-            )
-            if not session.send_envelope(gap.to_dict()):
-                subscription.close()
-                return
-        events = 0
-        try:
-            async for snapshot in subscription:
-                event = StreamEvent.from_snapshot(
-                    snapshot, subscription.theta, subscription.last_seq,
-                    request_id,
-                )
-                if not session.send_envelope(event.to_dict()):
-                    return  # slow consumer: close already queued
-                events += 1
-        except StreamError as exc:
-            # The hub dropped this subscriber (its own bound); surface the
-            # reason, then disconnect — same policy as the send buffer.
-            self.stats["slow_consumer_disconnects"] += 1
-            session.send_envelope(
-                ErrorEnvelope.from_exception(exc, request_id).to_dict()
-            )
-            session.send_close(1008, "subscription lagged")
-        else:
-            # Clean end of stream: the hub closed (source drained).
-            session.send_envelope(
-                Response(
-                    result={
-                        "complete": True,
-                        "events": events,
-                        "last_seq": subscription.last_seq,
-                    },
-                    id=request_id,
-                ).to_dict()
-            )
-        finally:
-            subscription.close()
 
     async def _read_ws_message(
         self, reader: asyncio.StreamReader, session: _WsSession
@@ -1363,7 +1522,7 @@ class TsubasaServer:
                 session.send_close(1002, "client frames must be masked")
                 return None
             mask = await reader.readexactly(4)
-            payload = _apply_mask(await reader.readexactly(length), mask)
+            payload = apply_ws_mask(await reader.readexactly(length), mask)
             if opcode >= 0x8:  # control frame: never fragmented
                 if opcode == _OP_CLOSE:
                     session.send_close(1000)
@@ -1483,49 +1642,21 @@ def serve_in_thread(
             server = TsubasaServer(
                 service, hub=the_hub, **(server_kwargs or {})
             )
-            pump_task: asyncio.Task | None = None
             try:
                 await server.start(host=host, port=port)
             except BaseException as exc:
                 handle._error = exc
                 handle._ready.set()
                 raise
-            if the_hub is not None and source is not None:
-                pump_task = asyncio.get_running_loop().create_task(
-                    the_hub.pump(
-                        source,
-                        interval=pump_interval,
-                        max_updates=pump_max_updates,
-                    )
-                )
-
-                def pump_done(task: asyncio.Task, hub=the_hub) -> None:
-                    # Whether the source drained or the pump crashed, the
-                    # stream is over: close the hub so subscribers get
-                    # their completion frame instead of hanging
-                    # acked-but-silent. (Cancellation is shutdown; aclose
-                    # handles the rest.)
-                    if task.cancelled():
-                        return
-                    task.exception()  # retrieved: drain and crash both end
-                    if not hub.closed:
-                        hub.close()
-
-                pump_task.add_done_callback(pump_done)
             handle._loop = asyncio.get_running_loop()
             handle._shutdown = asyncio.Event()
             handle.host = server.host
             handle.port = server.port
-            handle._ready.set()
-            await handle._shutdown.wait()
-            if pump_task is not None:
-                pump_task.cancel()
-                try:
-                    await pump_task
-                except (asyncio.CancelledError, Exception):
-                    pass
-            if the_hub is not None:
-                the_hub.close()
+            async with server.pumping(
+                source, interval=pump_interval, max_updates=pump_max_updates
+            ):
+                handle._ready.set()
+                await handle._shutdown.wait()
             await server.aclose()
 
         try:

@@ -3,7 +3,7 @@
 :class:`TsubasaService` is the long-lived form of
 :class:`~repro.api.client.TsubasaClient`: an :mod:`asyncio` component that
 multiplexes many concurrent :class:`~repro.api.spec.QuerySpec` requests over
-one shared sketch provider. Three things make it more than a thread wrapper:
+one shared sketch provider. Four things make it more than a thread wrapper:
 
 * **In-flight coalescing** — requests whose specs need the same correlation
   matrix (same resolved window, engine, and method) share one computation;

@@ -66,7 +66,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import json
 import sys
 import time
 
@@ -404,273 +403,37 @@ def _cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
-async def _serve_jsonl(
-    client: TsubasaClient,
-    stdin,
-    stdout,
-    max_workers: int,
-    max_batch: int,
-    max_pending: int = 256,
-    result_cache: int = 0,
-    hub=None,
-    source=None,
-    stream_interval: float = 0.05,
-    send_buffer: int = 64,
-) -> int:
-    """Serve JSON-lines specs from ``stdin`` until EOF (the ``serve`` loop).
+async def _serve_jsonl(server, source, args: argparse.Namespace) -> int:
+    """The default ``serve`` loop: JSON lines on stdin/stdout.
 
-    Each line is a wire-protocol request frame
-    (:func:`repro.api.protocol.parse_request` — the framed ``{"protocol": 1,
-    "id": ..., "spec": {...}}`` form or the legacy inline form), each output
-    line a protocol completion envelope. Requests are submitted as they
-    arrive (so in-flight window selections coalesce) and responses stream
-    back in submission order; the per-request ids exist so framed clients
-    can correlate envelopes independent of ordering. The response queue is
-    bounded by ``max_pending``: once that many requests are ahead of the
-    printer, the reader stops consuming stdin until responses drain, so a
-    huge piped batch cannot accumulate unbounded in-flight results.
-
-    With ``--stream-data`` (a live ``hub``/``source``), ``subscribe``
-    requests work on this transport too: the ack, every
-    :class:`~repro.api.protocol.StreamEvent`, and the closing completion
-    each become one output line, interleaved with query responses. Stdin
-    EOF stops *reading* but leaves open subscriptions streaming — pipe
-    through ``head`` or send SIGINT to stop — so
-    ``printf '{"op": "subscribe", ...}' | tsubasa serve ... | head`` tails
-    the live network.
-
-    The closing stderr summary counts what the *consumer observed*: ``ok``
-    and ``failed`` are envelopes actually emitted (``failed`` includes
-    malformed frames, broken out as ``rejected``), and responses completed
-    after a consumer hangup are reported as ``discarded`` instead of being
-    silently folded into the success count.
+    :meth:`~repro.api.server.TsubasaServer.serve_json_lines` does the
+    serving; this adds the live stream and the closing stderr summary. The
+    summary counts what the *consumer observed*: ``ok`` and ``failed`` are
+    envelopes actually emitted (``failed`` includes malformed frames,
+    broken out as ``malformed``), and responses completed after a consumer
+    hangup are reported as ``discarded`` instead of being silently folded
+    into the success count.
     """
-    from repro.api.protocol import (
-        ErrorEnvelope,
-        Response,
-        StreamEvent,
-        parse_request,
+    async with server.pumping(source, interval=args.stream_interval):
+        seen = await server.serve_json_lines(
+            sys.stdin, sys.stdout, max_pending=args.max_pending
+        )
+    await server.aclose()
+    stats = server.service.stats()
+    hangup_note = (
+        f", {seen['discarded']} discarded after hangup"
+        if seen["discarded"]
+        else ""
     )
-    from repro.api.server import _window_points
-
-    loop = asyncio.get_running_loop()
-    responses: asyncio.Queue = asyncio.Queue(maxsize=max_pending)
-    hangup = asyncio.Event()  # set once stdout writes start failing
-    emitted = {"ok": 0, "failed": 0, "discarded": 0}
-
-    async def print_responses() -> None:
-        while True:
-            item = await responses.get()
-            if item is None:
-                return
-            task, ready = item
-            if hangup.is_set():
-                # The consumer hung up: nobody can see further responses.
-                # Keep draining (so the bounded queue never wedges the
-                # reader), retrieve task outcomes without emitting, and
-                # account for them honestly as discarded.
-                if task is not None:
-                    try:
-                        await task
-                    except Exception:  # noqa: BLE001 - outcome discarded
-                        pass
-                emitted["discarded"] += 1
-                continue
-            envelope = ready if ready is not None else await task
-            try:
-                stdout.write(json.dumps(envelope) + "\n")
-                stdout.flush()
-            except OSError:
-                hangup.set()  # e.g. `tsubasa serve | head`
-                emitted["discarded"] += 1
-                continue
-            # Stream events carry no "ok" flag; they are successes.
-            ok = envelope.get("ok", "event" in envelope)
-            emitted["ok" if ok else "failed"] += 1
-
-    async def answer(request_id, spec: QuerySpec) -> dict:
-        # Any failure — library error or not — becomes this request's
-        # error envelope; one bad request must never kill the service or
-        # drop later responses.
-        try:
-            result = await service.submit(spec)
-        except Exception as exc:  # noqa: BLE001 - per-request envelope
-            return ErrorEnvelope.from_exception(exc, request_id).to_dict()
-        return Response.from_result(result, request_id).to_dict()
-
-    async def run_subscription(request_id, spec: QuerySpec) -> None:
-        # The stdin-transport mirror of the WebSocket subscription loop:
-        # ack, then one StreamEvent line per snapshot, then a completion
-        # (or an error envelope if the hub drops this subscriber).
-        try:
-            points = _window_points(spec.window, hub.window_size)
-            if points != hub.window_points:
-                raise StreamError(
-                    f"subscribe window selects {points} points, but the "
-                    f"standing query window is {hub.window_points} points "
-                    f"({hub.window_points // hub.window_size} basic "
-                    f"windows of {hub.window_size})"
-                )
-            subscription = hub.subscribe(
-                theta=spec.theta, max_pending=send_buffer,
-                resume_from=spec.resume_from,
-            )
-        except TsubasaError as exc:
-            await responses.put(
-                (None, ErrorEnvelope.from_exception(exc, request_id).to_dict())
-            )
-            return
-        ack = Response(
-            result={
-                "subscribed": True,
-                "theta": subscription.theta,
-                "window_points": hub.window_points,
-                "window_size": hub.window_size,
-                "last_seq": hub.last_seq,
-            },
-            id=request_id,
-        )
-        events = 0
-        try:
-            await responses.put((None, ack.to_dict()))
-            if subscription.pending_gap is not None:
-                gap = StreamEvent(
-                    seq=max(spec.resume_from or 0, 0),
-                    event=dict(subscription.pending_gap, gap=True),
-                    id=request_id,
-                )
-                await responses.put((None, gap.to_dict()))
-            async for snapshot in subscription:
-                event = StreamEvent.from_snapshot(
-                    snapshot, subscription.theta, subscription.last_seq,
-                    request_id,
-                )
-                await responses.put((None, event.to_dict()))
-                events += 1
-        except StreamError as exc:
-            # The hub dropped this subscriber (it fell behind the bounded
-            # queue); surface the reason, same policy as the WS transport.
-            await responses.put(
-                (None, ErrorEnvelope.from_exception(exc, request_id).to_dict())
-            )
-        else:
-            await responses.put((
-                None,
-                Response(
-                    result={
-                        "complete": True,
-                        "events": events,
-                        "last_seq": subscription.last_seq,
-                    },
-                    id=request_id,
-                ).to_dict(),
-            ))
-        finally:
-            subscription.close()
-
-    async with TsubasaService(
-        client, max_workers=max_workers, max_batch=max_batch,
-        result_cache=result_cache,
-    ) as service:
-        printer = loop.create_task(print_responses())
-        subscriptions: set[asyncio.Task] = set()
-        pump_task = None
-        if hub is not None and source is not None:
-            pump_task = loop.create_task(
-                hub.pump(source, interval=stream_interval)
-            )
-
-            def pump_done(task: asyncio.Task, hub=hub) -> None:
-                # A dead stream must be loud, and it must end subscriptions
-                # (see the identical policy in _serve_http).
-                if task.cancelled():
-                    return
-                exc = task.exception()
-                if exc is not None:
-                    print(f"stream pump failed: {exc}", file=sys.stderr)
-                    if not hub.closed:
-                        hub.close()
-
-            pump_task.add_done_callback(pump_done)
-        n_lines = 0
-        n_rejected = 0
-        while True:
-            line = await loop.run_in_executor(None, stdin.readline)
-            if not line or hangup.is_set():
-                # EOF, or the consumer hung up — nobody can observe further
-                # responses, so stop submitting work whose results would be
-                # computed and discarded.
-                break
-            line = line.strip()
-            if not line:
-                continue
-            n_lines += 1
-            request_id: int | str = n_lines
-            try:
-                payload = json.loads(line)
-                if isinstance(payload, dict) and isinstance(
-                    payload.get("id"), (str, int)
-                ):
-                    request_id = payload["id"]
-                request = parse_request(payload)
-                if request.spec.op == "subscribe" and (
-                    hub is None or hub.closed
-                ):
-                    raise ServiceError(
-                        "subscribe needs a live stream; run tsubasa serve "
-                        "--stream-data DATA (or --http and connect to "
-                        "/v1/ws)"
-                    )
-            except (ValueError, TsubasaError) as exc:
-                n_rejected += 1
-                await responses.put(
-                    (None, ErrorEnvelope.from_exception(exc, request_id).to_dict())
-                )
-                continue
-            if request.id is not None:
-                request_id = request.id
-            if request.spec.op == "subscribe":
-                task = loop.create_task(
-                    run_subscription(request_id, request.spec)
-                )
-                subscriptions.add(task)
-                task.add_done_callback(subscriptions.discard)
-                continue
-            task = loop.create_task(answer(request_id, request.spec))
-            await responses.put((task, None))
-        # Stdin is done; open subscriptions keep streaming until the
-        # consumer hangs up or the stream itself ends.
-        while subscriptions and not hangup.is_set():
-            await asyncio.wait(subscriptions, timeout=0.2)
-        for task in list(subscriptions):
-            task.cancel()
-        if subscriptions:
-            await asyncio.gather(*subscriptions, return_exceptions=True)
-        if pump_task is not None:
-            pump_task.cancel()
-            try:
-                await pump_task
-            except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                pass
-        if hub is not None and not hub.closed:
-            hub.close()
-        await responses.put(None)
-        await printer
-        stats = service.stats()
-        hangup_note = (
-            f", {emitted['discarded']} discarded after hangup"
-            if emitted["discarded"]
-            else ""
-        )
-        print(
-            f"served {emitted['ok']} ok / {emitted['failed']} "
-            f"failed ({n_rejected} malformed, {stats.coalesced} coalesced, "
-            f"{stats.matrices_computed} matrices computed, "
-            f"{stats.result_cache_hits} cache hits, "
-            f"{stats.prefetched_windows} windows prefetched"
-            f"{hangup_note})",
-            file=sys.stderr,
-        )
+    print(
+        f"served {seen['ok']} ok / {seen['failed']} "
+        f"failed ({seen['malformed']} malformed, {stats.coalesced} coalesced, "
+        f"{stats.matrices_computed} matrices computed, "
+        f"{stats.result_cache_hits} cache hits, "
+        f"{stats.prefetched_windows} windows prefetched"
+        f"{hangup_note})",
+        file=sys.stderr,
+    )
     return 0
 
 
@@ -727,13 +490,10 @@ def _open_stream(client: TsubasaClient, args: argparse.Namespace):
     return SnapshotHub(ingestor, max_pending=args.send_buffer), source
 
 
-async def _serve_http(client: TsubasaClient, args: argparse.Namespace) -> int:
-    """The ``serve --http`` loop: socket server + optional live stream."""
-    import signal
-
+async def _serve(client: TsubasaClient, args: argparse.Namespace) -> int:
+    """Single-process ``serve``: one server core behind stdin or a socket."""
     from repro.api.server import TsubasaServer
 
-    host, port = _parse_listen_address(args.http)
     service = TsubasaService(
         client,
         max_workers=args.workers,
@@ -741,6 +501,10 @@ async def _serve_http(client: TsubasaClient, args: argparse.Namespace) -> int:
         result_cache=args.result_cache,
     )
     hub, source = _open_stream(client, args)
+    if not args.http:
+        # The in-flight caps and auth police socket clients; stdin has none.
+        server = TsubasaServer(service, hub=hub, send_buffer=args.send_buffer)
+        return await _serve_jsonl(server, source, args)
     server = TsubasaServer(
         service,
         hub=hub,
@@ -749,6 +513,14 @@ async def _serve_http(client: TsubasaClient, args: argparse.Namespace) -> int:
         max_inflight_total=args.max_inflight_total or None,
         auth_token=args.auth_token or None,
     )
+    return await _serve_http(server, source, args)
+
+
+async def _serve_http(server, source, args: argparse.Namespace) -> int:
+    """The ``serve --http`` loop: the socket adapters until SIGINT/SIGTERM."""
+    import signal
+
+    host, port = _parse_listen_address(args.http)
     try:
         await server.start(host=host, port=port)
     except OSError as exc:
@@ -770,39 +542,13 @@ async def _serve_http(client: TsubasaClient, args: argparse.Namespace) -> int:
             loop.add_signal_handler(signum, stop.set)
         except (NotImplementedError, RuntimeError):
             pass  # platforms without loop signal handlers
-    pump_task = None
-    if hub is not None and source is not None:
-        pump_task = loop.create_task(
-            hub.pump(source, interval=args.stream_interval)
-        )
-
-        def pump_done(task: asyncio.Task, hub=hub) -> None:
-            # A dead stream must be loud, and it must end subscriptions
-            # (otherwise subscribers hang with an ack and no events, and
-            # the failure is only discovered at shutdown).
-            if task.cancelled():
-                return
-            exc = task.exception()
-            if exc is not None:
-                print(f"stream pump failed: {exc}", file=sys.stderr)
-                if not hub.closed:
-                    hub.close()
-
-        pump_task.add_done_callback(pump_done)
-    try:
-        await stop.wait()
-    except KeyboardInterrupt:
-        pass
-    if pump_task is not None:
-        pump_task.cancel()
+    async with server.pumping(source, interval=args.stream_interval):
         try:
-            await pump_task
-        except (asyncio.CancelledError, Exception):  # noqa: BLE001
+            await stop.wait()
+        except KeyboardInterrupt:
             pass
-    if hub is not None:
-        hub.close()
     await server.aclose()
-    stats = service.stats()
+    stats = server.service.stats()
     print(
         f"served {stats.completed} ok / {stats.failed} failed "
         f"({stats.coalesced} coalesced, {stats.matrices_computed} matrices "
@@ -904,25 +650,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.http and args.workers > 1:
         return _serve_supervised(args)
     with _open_store(args.store) as store:
-        client = _open_client(store, args)
-        if args.http:
-            return asyncio.run(_serve_http(client, args))
-        hub, source = _open_stream(client, args)
-        return asyncio.run(
-            _serve_jsonl(
-                client,
-                sys.stdin,
-                sys.stdout,
-                max_workers=args.workers,
-                max_batch=args.max_batch,
-                max_pending=args.max_pending,
-                result_cache=args.result_cache,
-                hub=hub,
-                source=source,
-                stream_interval=args.stream_interval,
-                send_buffer=args.send_buffer,
-            )
-        )
+        return asyncio.run(_serve(_open_client(store, args), args))
 
 
 def _cmd_trim(args: argparse.Namespace) -> int:
@@ -1114,8 +842,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="HTTP/WS mode: concurrent requests allowed per "
                          "connection before excess ones are rejected")
     sv.add_argument("--send-buffer", type=int, default=64,
-                    help="HTTP/WS mode: per-client send queue bound in "
-                         "frames; clients that fall further behind are "
+                    help="per-client send queue bound in frames (WS), and "
+                         "each subscription's event buffer (WS and stdin); "
+                         "consumers that fall further behind are "
                          "disconnected (slow-consumer policy)")
     sv.add_argument("--max-inflight-total", type=int, default=0,
                     help="HTTP/WS mode: server-wide cap on concurrently "

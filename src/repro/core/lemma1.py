@@ -61,6 +61,7 @@ from repro.core.stats import PairWindowStats, WindowStats
 from repro.exceptions import SketchError
 
 __all__ = [
+    "check_window_stats",
     "combine_pair",
     "combine_pair_arrays",
     "combine_row",
@@ -152,9 +153,10 @@ def _weighted_cov_sum(sizes: np.ndarray, covs: np.ndarray) -> np.ndarray:
     return (sizes @ flat).reshape(covs.shape[1:])
 
 
-def _check_window_stats(
+def check_window_stats(
     means: np.ndarray, stds: np.ndarray, sizes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate per-window statistics; return them C-contiguous float64."""
     # Canonical C layout: providers hand these in as C arrays, transposed
     # memmap slices, or fancy-indexed (Fortran-ordered) views, and BLAS
     # accumulates in a layout-dependent order — normalizing here keeps query
@@ -276,7 +278,7 @@ def combine_rows(
         windows. Self-correlation entries ``(a, rows[a])`` are 1.0; entries
         involving a constant series are 0.0.
     """
-    means, stds, sizes = _check_window_stats(means, stds, sizes)
+    means, stds, sizes = check_window_stats(means, stds, sizes)
     rows = np.asarray(rows, dtype=np.int64)
     n, ns = means.shape
     cov_rows = np.asarray(cov_rows, dtype=np.float64)
@@ -351,7 +353,7 @@ def combine_matrix(
         windows, with unit diagonal. Rows/columns of constant series are zero
         off-diagonal.
     """
-    means, stds, sizes = _check_window_stats(means, stds, sizes)
+    means, stds, sizes = check_window_stats(means, stds, sizes)
     n, ns = means.shape
     covs = np.asarray(covs, dtype=np.float64)
     if covs.shape != (ns, n, n):
@@ -415,7 +417,7 @@ def combine_matrix_chunked(
     if weighted_cov is None:
         raise SketchError("cannot combine an empty window sequence")
 
-    means, stds, sizes = _check_window_stats(
+    means, stds, sizes = check_window_stats(
         np.concatenate(means_parts, axis=1),
         np.concatenate(stds_parts, axis=1),
         np.concatenate(sizes_parts),
@@ -453,7 +455,7 @@ def combine_matrix_streaming(
     Returns:
         The exact ``(n, n)`` Pearson correlation matrix, unit diagonal.
     """
-    means, stds, sizes = _check_window_stats(means, stds, sizes)
+    means, stds, sizes = check_window_stats(means, stds, sizes)
     ns = means.shape[1]
 
     def stat_chunks() -> Iterable[

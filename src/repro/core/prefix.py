@@ -66,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.lemma1 import _check_window_stats
+from repro.core.lemma1 import check_window_stats
 from repro.exceptions import SketchError
 
 __all__ = [
@@ -240,7 +240,7 @@ class PrefixAggregates:
             raise SketchError("prefix tables are read-only")
         if self.rows < 1:
             raise SketchError("prefix tables hold no zero row to extend from")
-        means, stds, sizes = _check_window_stats(means, stds, sizes)
+        means, stds, sizes = check_window_stats(means, stds, sizes)
         n, k = means.shape
         if n != self.n_series:
             raise SketchError(
@@ -313,7 +313,7 @@ def build_prefix_aggregates(
     Returns:
         Writable in-memory :class:`PrefixAggregates` covering every window.
     """
-    means, stds, sizes = _check_window_stats(means, stds, sizes)
+    means, stds, sizes = check_window_stats(means, stds, sizes)
     n, ns = means.shape
     covs = np.asarray(covs, dtype=np.float64)
     if covs.shape != (ns, n, n):

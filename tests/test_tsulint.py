@@ -478,6 +478,63 @@ def test_tsu006_project_check_op_table_drift(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# TSU007 — private names stay inside their module
+
+
+def test_tsu007_flags_private_imports(tmp_path):
+    write_tree(
+        tmp_path,
+        {
+            "src/repro/api/remote.py": """\
+            from repro.api.server import _apply_mask, encode_ws_frame
+            from .frames import _HEADER
+
+            def handler():
+                from repro.api.server import _window_points
+                return _apply_mask, encode_ws_frame, _HEADER, _window_points
+            """
+        },
+    )
+    diagnostics = run(tmp_path, select={"TSU007"})
+    assert codes(diagnostics) == ["TSU007"] * 3
+    assert [d.line for d in diagnostics] == [1, 2, 5]
+    assert "'_apply_mask'" in diagnostics[0].message
+
+
+def test_tsu007_public_dunder_and_foreign_imports_pass(tmp_path):
+    write_tree(
+        tmp_path,
+        {
+            "src/repro/api/remote.py": """\
+            from os import _exit
+            from repro import __version__
+            from repro.api.server import apply_ws_mask
+
+            def _local():
+                return _exit, __version__, apply_ws_mask
+            """,
+            "tests/test_remote.py": """\
+            from repro.api.remote import _WsClientConnection
+            """,
+        },
+    )
+    assert run(tmp_path, select={"TSU007"}) == []
+
+
+def test_tsu007_suppression_with_reason(tmp_path):
+    write_tree(
+        tmp_path,
+        {
+            "src/repro/api/remote.py": """\
+            # tsulint: disable=TSU007 -- test fixture
+            from repro.api.server import _apply_mask
+            """
+        },
+    )
+    assert run(tmp_path, select={"TSU007"}, require_reasons=True) == []
+
+
+# ---------------------------------------------------------------------------
 # Suppressions
 
 
@@ -570,6 +627,7 @@ def test_rule_registry_is_complete():
         "TSU004",
         "TSU005",
         "TSU006",
+        "TSU007",
     ]
     for rule in RULES:
         assert rule.description

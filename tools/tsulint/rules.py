@@ -36,6 +36,10 @@ TSU006    No ``QuerySpec`` field drift: attribute access on spec-typed
           attributes, and the ``_REQUIRED``/``_OPTIONAL`` per-op field
           tables in ``spec.py`` must reference real dataclass fields and
           real ops.
+TSU007    No ``from repro.<module> import _private`` in ``src/repro/``.
+          A leading underscore says "only this module relies on it"; a
+          helper another module needs gets a public name, so a rename
+          cannot silently break the importer.
 ========  ==============================================================
 
 Suppress a finding with a justified trailing comment::
@@ -586,6 +590,39 @@ class SpecFieldDrift(Rule):
                 )
 
 
+class PrivateImport(Rule):
+    """TSU007: a module's private names stay inside the module."""
+
+    code = "TSU007"
+    name = "private-import"
+    description = (
+        "no `from repro.<module> import _private` in src/repro; a helper "
+        "another module needs gets a public name"
+    )
+
+    def applies_to(self, path: str) -> bool:
+        return _in_library(path)
+
+    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            module = node.module or ""
+            if node.level == 0 and module.split(".")[0] != "repro":
+                continue
+            for alias in node.names:
+                if alias.name.startswith("_") and not alias.name.startswith(
+                    "__"
+                ):
+                    yield self.diag(
+                        ctx.path,
+                        node,
+                        f"private name {alias.name!r} imported from "
+                        f"{'.' * node.level}{module}; give it a public name "
+                        f"in the module that owns it",
+                    )
+
+
 #: Registered rules, in code order. The CLI and the test suite iterate this.
 RULES: tuple[Rule, ...] = (
     BlockingCallInAsync(),
@@ -594,6 +631,7 @@ RULES: tuple[Rule, ...] = (
     ExceptionTaxonomy(),
     FrombufferGuard(),
     SpecFieldDrift(),
+    PrivateImport(),
 )
 
 
