@@ -478,7 +478,6 @@ def run_service(store_dir: Path) -> list[dict]:
                 "coalesced": stats.coalesced,
                 "coalesce_rate": round(stats.coalesce_rate, 4),
                 "matrices_computed": stats.matrices_computed,
-                "prefetched_windows": stats.prefetched_windows,
                 "service_workers": max_workers,
             })
     rows.extend(run_service_remote(mmap_path, specs))

@@ -13,7 +13,7 @@ This package is the public *request surface* of the TSUBASA reproduction:
   :class:`~repro.api.client.QueryPolicy`.
 * :mod:`repro.api.service` — :class:`~repro.api.service.TsubasaService`, the
   long-lived :mod:`asyncio` service multiplexing many concurrent specs over
-  one shared provider with in-flight coalescing, batched store reads, and
+  one shared provider with in-flight coalescing, a finished-result LRU, and
   :meth:`~repro.api.service.TsubasaService.stats`.
 * :mod:`repro.api.protocol` — the versioned wire protocol (framed
   :class:`~repro.api.protocol.Request` / :class:`~repro.api.protocol.Response`

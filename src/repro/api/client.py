@@ -256,23 +256,6 @@ class TsubasaClient:
             method = "eq5"  # what compute_matrix runs when omitted
         return (query.end, query.length, spec.engine, method)
 
-    def prefetch(self, indices) -> int:
-        """Warm the provider's cache for the given basic windows (batched).
-
-        Delegates to :meth:`~repro.engine.providers.SketchProvider.prefetch`;
-        returns the number of window records actually read.
-        """
-        if self._provider is None:
-            return 0
-        indices = np.asarray(list(indices), dtype=np.int64)
-        if indices.size == 0:
-            return 0
-        return self._provider.prefetch(indices)
-
-    def selection_for(self, window: WindowSpec) -> WindowSelection:
-        """Align a window spec against the plan (validates bounds)."""
-        return self._plan.align(window.resolve(self._plan))
-
     def compute_matrix(self, spec: QuerySpec, window: WindowSpec) -> MatrixExecution:
         """Compute the correlation matrix ``spec`` needs over ``window``.
 
@@ -414,7 +397,7 @@ class TsubasaClient:
         Shared by :meth:`execute` and the async service so both surfaces
         return identically shaped results. ``started_at`` anchors the
         ``total`` timing — call entry for the sync client, submission time
-        for the service (where queue wait is part of the request's latency).
+        for the service (where waiting for the executor counts as latency).
         """
         post_start = time.perf_counter()
         value = self.finish(

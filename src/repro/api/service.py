@@ -3,11 +3,11 @@
 :class:`TsubasaService` is the long-lived form of
 :class:`~repro.api.client.TsubasaClient`: an :mod:`asyncio` component that
 multiplexes many concurrent :class:`~repro.api.spec.QuerySpec` requests over
-one shared sketch provider. Four things make it more than a thread wrapper:
+one shared sketch provider. Three things make it more than a thread wrapper:
 
 * **In-flight coalescing** — requests whose specs need the same correlation
   matrix (same resolved window, engine, and method) share one computation;
-  the duplicates just await the leader's future. Dashboards issuing
+  the duplicates just await the leader's task. Dashboards issuing
   ``network`` + ``top_k`` + ``degree`` over the same window pay for one
   Lemma 1 pass.
 * **Result caching** — with ``result_cache > 0``, *finished* matrices stay
@@ -17,15 +17,15 @@ one shared sketch provider. Four things make it more than a thread wrapper:
   recomputation (flagged ``cache=True`` in their provenance). Providers are
   immutable snapshots, so cached matrices never go stale within a service's
   lifetime.
-* **Batched store reads** — before a drained batch of queued requests is
-  dispatched, the union of every request's basic windows is prefetched
-  through the provider's existing LRU in one batched read
-  (:meth:`~repro.engine.providers.StoreProvider.prefetch`), so requests that
-  arrive together share store round-trips instead of issuing N overlapping
-  scans.
-* **Observability** — :meth:`TsubasaService.stats` reports queue depth,
-  in-flight count, coalesce rate, prefetched windows, and per-backend
+* **Observability** — :meth:`TsubasaService.stats` reports in-flight count,
+  coalesce rate, result-cache hit rate, deadline sheds, and per-backend
   latency, the numbers a deployment watches.
+
+There is no queue: :meth:`TsubasaService.submit` resolves its matrices
+inline — a result-cache hit, a join of an in-flight computation, or a new
+one — and awaits them in the caller's task. Shared computations are awaited
+through :func:`asyncio.shield`, so a cancelled caller never cancels the work
+its coalesced peers are waiting on.
 
 Matrix computations run on a dedicated thread pool so the event loop stays
 responsive. The default of one executor thread serializes backend access,
@@ -58,13 +58,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.api.client import MatrixExecution, TsubasaClient
 from repro.api.spec import QueryResult, QuerySpec
-from repro.engine.providers import SketchProvider
-from repro.exceptions import (
-    DataError,
-    DeadlineExceeded,
-    ServiceError,
-    TsubasaError,
-)
+from repro.exceptions import DataError, DeadlineExceeded, ServiceError
 
 __all__ = ["TsubasaService", "ServiceStats", "BackendLatency", "run_specs"]
 
@@ -94,12 +88,11 @@ class ServiceStats:
     Attributes:
         submitted: Specs accepted by :meth:`TsubasaService.submit`.
         completed: Specs answered successfully.
-        failed: Specs that raised.
+        failed: Specs that raised, including callers cancelled while
+            awaiting their matrix (the computation itself keeps running
+            for any coalesced peers).
         coalesced: Requests that shared an in-flight matrix computation.
         matrices_computed: Matrix computations actually executed.
-        prefetched_windows: Window records batch-read ahead of dispatch.
-        queue_depth: Requests currently waiting for dispatch.
-        max_queue_depth: High-water mark of the dispatch queue.
         in_flight: Matrix computations currently running or awaited.
         result_cache_hits: Matrix demands served from the finished-result
             LRU (0 when the cache is disabled).
@@ -107,7 +100,7 @@ class ServiceStats:
             (coalesced and computed demands both count; 0 when disabled).
         deadline_shed: Requests failed with
             :class:`~repro.exceptions.DeadlineExceeded` because their
-            ``deadline_ms`` budget ran out queued or mid-computation
+            ``deadline_ms`` budget ran out before their matrices were ready
             (counted in ``failed`` too).
         backend_latency: Per-backend latency aggregates, keyed by backend
             name.
@@ -118,9 +111,6 @@ class ServiceStats:
     failed: int
     coalesced: int
     matrices_computed: int
-    prefetched_windows: int
-    queue_depth: int
-    max_queue_depth: int
     in_flight: int
     result_cache_hits: int = 0
     result_cache_misses: int = 0
@@ -148,9 +138,6 @@ class ServiceStats:
             "coalesced": self.coalesced,
             "coalesce_rate": self.coalesce_rate,
             "matrices_computed": self.matrices_computed,
-            "prefetched_windows": self.prefetched_windows,
-            "queue_depth": self.queue_depth,
-            "max_queue_depth": self.max_queue_depth,
             "in_flight": self.in_flight,
             "result_cache_hits": self.result_cache_hits,
             "result_cache_misses": self.result_cache_misses,
@@ -167,23 +154,6 @@ class ServiceStats:
         }
 
 
-class _Request:
-    __slots__ = ("spec", "future", "submitted_at", "deadline")
-
-    def __init__(self, spec: QuerySpec, future: asyncio.Future) -> None:
-        self.spec = spec
-        self.future = future
-        self.submitted_at = time.perf_counter()
-        # deadline_ms is a *relative* budget; anchor it to this process's
-        # monotonic clock the moment the request is accepted, so queue
-        # wait counts against it and clock skew never does.
-        self.deadline = (
-            self.submitted_at + spec.deadline_ms / 1000.0
-            if spec.deadline_ms is not None
-            else None
-        )
-
-
 class TsubasaService:
     """Long-lived asyncio query service over one shared client/backend.
 
@@ -195,11 +165,6 @@ class TsubasaService:
             ``thread_safe_reads`` (mmap, in-memory); cache-bearing
             providers (``StoreProvider``, ``ChunkedBuildProvider``) must
             stay at the default of 1.
-        max_batch: Maximum queued requests drained per dispatch round (the
-            unit of prefetch batching).
-        prefetch: Batch-read the union of a dispatch round's windows through
-            the provider cache before executing (on by default; only
-            backends implementing ``prefetch`` do any work).
         result_cache: Finished matrices kept in a bounded LRU keyed by
             :meth:`~repro.api.client.TsubasaClient.matrix_key` and replayed
             to later identical demands. ``0`` (the default) disables the
@@ -210,8 +175,6 @@ class TsubasaService:
         self,
         client: TsubasaClient,
         max_workers: int = 1,
-        max_batch: int = 64,
-        prefetch: bool = True,
         result_cache: int = 0,
     ) -> None:
         if not isinstance(client, TsubasaClient):
@@ -233,22 +196,14 @@ class TsubasaService:
                 f"concurrent reads; use max_workers=1 (or an mmap/in-memory "
                 "provider for multi-threaded service execution)"
             )
-        if max_batch <= 0:
-            raise DataError("max_batch must be positive")
         if result_cache < 0:
             raise DataError("result_cache must be >= 0")
         self._client = client
         self._max_workers = max_workers
-        self._max_batch = max_batch
-        self._prefetch_enabled = prefetch
-        self._queue: asyncio.Queue[_Request] | None = None
         self._executor: ThreadPoolExecutor | None = None
-        self._dispatcher: asyncio.Task | None = None
-        self._serve_tasks: set[asyncio.Task] = set()
         self._inflight: dict[tuple, asyncio.Task] = {}
-        # Every accepted request's future, until it resolves — the drain set
-        # aclose() waits on (the queue alone can look empty while a batch is
-        # in the dispatcher's hands).
+        # One future per accepted submit, resolved when that submit returns
+        # or raises — the drain set aclose() waits on.
         self._open_requests: set[asyncio.Future] = set()
         self._closed = False
         # Counters (event-loop confined; mutated only from loop callbacks).
@@ -257,8 +212,6 @@ class TsubasaService:
         self._failed = 0
         self._coalesced = 0
         self._matrices = 0
-        self._prefetched = 0
-        self._max_queue_depth = 0
         self._deadline_shed = 0
         self._latency: dict[str, list[float]] = {}
         # Finished-result LRU (event-loop confined, like the counters).
@@ -275,38 +228,23 @@ class TsubasaService:
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> "TsubasaService":
-        """Start the dispatcher; idempotent until :meth:`aclose`."""
+        """Start the executor; idempotent until :meth:`aclose`."""
         if self._closed:
             raise ServiceError("service is closed")
-        if self._dispatcher is None:
-            self._queue = asyncio.Queue()
+        if self._executor is None:
             self._executor = ThreadPoolExecutor(
                 max_workers=self._max_workers,
                 thread_name_prefix="tsubasa-service",
             )
-            self._dispatcher = asyncio.get_running_loop().create_task(
-                self._dispatch_loop()
-            )
         return self
 
     async def aclose(self) -> None:
-        """Drain outstanding work, then stop the dispatcher and executor."""
+        """Wait for every accepted submit to return, then stop the executor."""
         if self._closed:
             return
         self._closed = True
-        # Let already-accepted requests finish before tearing down. Waiting
-        # on the request futures (not the queue or serve tasks) is immune to
-        # the window where the dispatcher holds a drained batch that has no
-        # serve tasks yet.
         while self._open_requests:
             await asyncio.wait(set(self._open_requests))
-        if self._dispatcher is not None:
-            self._dispatcher.cancel()
-            try:
-                await self._dispatcher
-            except asyncio.CancelledError:
-                pass
-            self._dispatcher = None
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
@@ -329,7 +267,7 @@ class TsubasaService:
         """
         if self._closed:
             raise ServiceError("cannot submit to a closed service")
-        if self._dispatcher is None:
+        if self._executor is None:
             raise ServiceError(
                 "service not started; use 'async with TsubasaService(...)' "
                 "or await start()"
@@ -342,79 +280,71 @@ class TsubasaService:
                 "request/response specs only (the WebSocket server bridges "
                 "subscriptions to a SnapshotHub)"
             )
-        loop = asyncio.get_running_loop()
-        request = _Request(spec, loop.create_future())
+        submitted_at = time.perf_counter()
+        # deadline_ms is a *relative* budget; anchor it to this process's
+        # monotonic clock the moment the request is accepted, so clock skew
+        # never counts against it.
+        deadline = (
+            submitted_at + spec.deadline_ms / 1000.0
+            if spec.deadline_ms is not None
+            else None
+        )
         self._submitted += 1
-        self._open_requests.add(request.future)
-        request.future.add_done_callback(self._open_requests.discard)
-        await self._queue.put(request)
-        self._max_queue_depth = max(self._max_queue_depth, self._queue.qsize())
-        return await request.future
-
-    async def _dispatch_loop(self) -> None:
-        while True:
-            batch = [await self._queue.get()]
-            while len(batch) < self._max_batch:
-                try:
-                    batch.append(self._queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            try:
-                await self._prefetch_batch(batch)
-                for request in batch:
-                    task = asyncio.get_running_loop().create_task(
-                        self._serve_one(request)
-                    )
-                    self._serve_tasks.add(task)
-                    task.add_done_callback(self._serve_tasks.discard)
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:
-                # The dispatcher must outlive any batch: fail the batch's
-                # requests and keep serving (a dead dispatcher would strand
-                # every later submitter on a never-resolved future).
-                for request in batch:
-                    if not request.future.done():
-                        self._failed += 1
-                        request.future.set_exception(exc)
-
-    async def _prefetch_batch(self, batch: list[_Request]) -> None:
-        """One batched store read covering every queued request's windows."""
-        provider = self._client.provider
-        if not self._prefetch_enabled or provider is None:
-            return
-        if type(provider).prefetch is SketchProvider.prefetch:
-            # The backend kept the no-op default (memory, mmap): skip the
-            # window planning and executor round-trip entirely — this runs
-            # on every dispatch round of the service hot path.
-            return
-        union: set[int] = set()
-        for request in batch:
-            if request.spec.engine != "exact":
-                continue  # approx matrices never touch the record store
-            for window in request.spec.windows:
-                try:
-                    key = self._client.matrix_key(request.spec, window)
-                    if key in self._inflight:
-                        continue  # already being computed; cache is warm
-                    if self._result_capacity and key in self._results:
-                        continue  # finished result replayed; no reads at all
-                    selection = self._client.selection_for(window)
-                except TsubasaError:
-                    continue  # invalid window; _serve_one reports it
-                union.update(int(i) for i in selection.full_windows)
-        if not union:
-            return
-        loop = asyncio.get_running_loop()
+        done = asyncio.get_running_loop().create_future()
+        self._open_requests.add(done)
         try:
-            fetched = await loop.run_in_executor(
-                self._executor, self._client.prefetch, sorted(union)
+            coalesced = False
+            # Resolve every window's task *before* awaiting any, so a
+            # diff-network's windows coalesce with concurrent requests.
+            tasks = []
+            for window in spec.windows:
+                task, shared = self._matrix_task(spec, window)
+                if shared:
+                    coalesced = True
+                    self._coalesced += 1
+                tasks.append(task)
+            executions = [
+                await self._await_matrix(task, spec, deadline) for task in tasks
+            ]
+            result = self._client.build_result(
+                spec,
+                executions,
+                coalesced=coalesced,
+                started_at=submitted_at,
+                matrix_seconds=time.perf_counter() - submitted_at,
             )
-        except asyncio.CancelledError:
+        except BaseException:  # noqa: B036 - counted, then re-raised
+            self._failed += 1
             raise
-        except Exception:
-            return  # prefetch is best-effort; queries surface real errors
-        self._prefetched += int(fetched)
+        finally:
+            self._open_requests.discard(done)
+            done.set_result(None)
+        self._completed += 1
+        return result
+
+    async def _await_matrix(
+        self, task: asyncio.Future, spec: QuerySpec, deadline: float | None
+    ) -> MatrixExecution:
+        """Await one (possibly shared) matrix task within the deadline.
+
+        Shielded either way: the task may be coalesced with (or cached for)
+        requests that are still waiting, so cancelling this caller — a
+        server drain, a client hang-up — or running out its budget must not
+        cancel the computation.
+        """
+        if deadline is None:
+            return await asyncio.shield(task)
+        remaining = deadline - time.perf_counter()
+        try:
+            return await asyncio.wait_for(
+                asyncio.shield(task), timeout=max(remaining, 0.0)
+            )
+        except asyncio.TimeoutError:
+            self._deadline_shed += 1
+            raise DeadlineExceeded(
+                f"deadline of {spec.deadline_ms} ms expired while "
+                "computing the correlation matrix"
+            ) from None
 
     def _matrix_task(self, spec: QuerySpec, window) -> tuple[object, bool]:
         """The (possibly shared) awaitable computing one window's matrix."""
@@ -474,68 +404,6 @@ class TsubasaService:
                 self._results.popitem(last=False)
         return execution
 
-    async def _serve_one(self, request: _Request) -> None:
-        spec = request.spec
-        try:
-            matrix_start = time.perf_counter()
-            if request.deadline is not None and matrix_start >= request.deadline:
-                # The queue wait consumed the whole budget: shed before
-                # doing any work — the caller is no longer listening.
-                self._deadline_shed += 1
-                raise DeadlineExceeded(
-                    f"deadline of {spec.deadline_ms} ms expired after "
-                    f"{(matrix_start - request.submitted_at) * 1000:.0f} ms "
-                    "in queue"
-                )
-            coalesced = False
-            executions: list[MatrixExecution] = []
-            # Resolve both windows' tasks *before* awaiting either, so a
-            # diff-network's windows coalesce with everything in the batch.
-            tasks = []
-            for window in spec.windows:
-                task, shared = self._matrix_task(spec, window)
-                if shared:
-                    coalesced = True
-                    self._coalesced += 1
-                tasks.append(task)
-            for task in tasks:
-                if request.deadline is None:
-                    executions.append(await task)
-                    continue
-                remaining = request.deadline - time.perf_counter()
-                try:
-                    # Shield: the computation may be coalesced with (or
-                    # cached for) requests that still have time left.
-                    executions.append(
-                        await asyncio.wait_for(
-                            asyncio.shield(task), timeout=max(remaining, 0.0)
-                        )
-                    )
-                except asyncio.TimeoutError:
-                    self._deadline_shed += 1
-                    raise DeadlineExceeded(
-                        f"deadline of {spec.deadline_ms} ms expired while "
-                        "computing the correlation matrix"
-                    ) from None
-            matrix_seconds = time.perf_counter() - matrix_start
-            result = self._client.build_result(
-                spec,
-                executions,
-                coalesced=coalesced,
-                started_at=request.submitted_at,
-                matrix_seconds=matrix_seconds,
-            )
-        except BaseException as exc:  # noqa: B036 - forwarded, not swallowed
-            self._failed += 1
-            if not request.future.done():
-                request.future.set_exception(exc)
-            if not isinstance(exc, Exception):
-                raise
-            return
-        self._completed += 1
-        if not request.future.done():
-            request.future.set_result(result)
-
     # -- observability -------------------------------------------------------
 
     def stats(self) -> ServiceStats:
@@ -546,9 +414,6 @@ class TsubasaService:
             failed=self._failed,
             coalesced=self._coalesced,
             matrices_computed=self._matrices,
-            prefetched_windows=self._prefetched,
-            queue_depth=self._queue.qsize() if self._queue is not None else 0,
-            max_queue_depth=self._max_queue_depth,
             in_flight=len(self._inflight),
             result_cache_hits=self._result_hits,
             result_cache_misses=self._result_misses,

@@ -429,8 +429,7 @@ async def _serve_jsonl(server, source, args: argparse.Namespace) -> int:
         f"served {seen['ok']} ok / {seen['failed']} "
         f"failed ({seen['malformed']} malformed, {stats.coalesced} coalesced, "
         f"{stats.matrices_computed} matrices computed, "
-        f"{stats.result_cache_hits} cache hits, "
-        f"{stats.prefetched_windows} windows prefetched"
+        f"{stats.result_cache_hits} cache hits"
         f"{hangup_note})",
         file=sys.stderr,
     )
@@ -497,7 +496,6 @@ async def _serve(client: TsubasaClient, args: argparse.Namespace) -> int:
     service = TsubasaService(
         client,
         max_workers=args.workers,
-        max_batch=args.max_batch,
         result_cache=args.result_cache,
     )
     hub, source = _open_stream(client, args)
@@ -592,7 +590,6 @@ def _serve_supervised(args: argparse.Namespace) -> int:
         host=host,
         service_kwargs={
             "max_workers": 1,
-            "max_batch": args.max_batch,
             "result_cache": args.result_cache,
         },
         server_kwargs={
@@ -825,9 +822,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "sharing the port, each with its own event loop "
                          "and service (restarted on crash, drained on "
                          "SIGTERM)")
-    sv.add_argument("--max-batch", type=int, default=64,
-                    help="queued requests drained per dispatch round (the "
-                         "unit of batched store prefetch)")
     sv.add_argument("--max-pending", type=int, default=256,
                     help="responses allowed ahead of the printer before the "
                          "reader pauses stdin (bounds in-flight memory)")

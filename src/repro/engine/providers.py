@@ -226,22 +226,6 @@ class SketchProvider(abc.ABC):
         """
         raise SketchError(_NO_RAW_MESSAGE)
 
-    def prefetch(self, indices: np.ndarray) -> int:
-        """Warm the backend for an upcoming read of ``indices``.
-
-        Backends that pay per-record I/O (stores) override this to batch the
-        reads into their cache ahead of time — the query service calls it
-        once with the union of every queued request's windows, so requests
-        that arrive together share one store round-trip. Backends with no
-        read amplification (in-memory, mmap) keep the default no-op.
-
-        Returns:
-            Number of window records actually fetched (0 when nothing was
-            done).
-        """
-        self._check_indices(np.asarray(indices, dtype=np.int64))
-        return 0
-
     # -- prefix aggregates ---------------------------------------------------
 
     def prefix_range(self, selection) -> tuple[int, int] | None:
@@ -425,11 +409,6 @@ class _LruRecordCache:
         """Maximum entries held (``None`` = unbounded)."""
         return self._capacity
 
-    def __contains__(self, key: int) -> bool:
-        # Pure membership probe: no recency update, no hit/miss accounting
-        # (prefetch planning must not distort query cache statistics).
-        return key in self._entries
-
     def get(self, key: int):
         if key in self._entries:
             self._entries.move_to_end(key)
@@ -544,30 +523,6 @@ class StoreProvider(SketchProvider):
     def cache_capacity(self) -> int | None:
         """LRU capacity in window records (``None`` = unbounded)."""
         return self._cache.capacity
-
-    def prefetch(self, indices: np.ndarray) -> int:
-        """Batch-read the missing window records of ``indices`` into the LRU.
-
-        The §3.4 batched-read path applied across queued queries: the service
-        layer hands this the deduplicated union of every in-queue request's
-        windows, so each record crosses the store boundary once and the
-        individual queries are then served from the cache. Selections larger
-        than the cache capacity are skipped outright (prefetching would just
-        churn the LRU).
-        """
-        idx = self._check_indices(np.unique(np.asarray(indices, dtype=np.int64)))
-        capacity = self._cache.capacity
-        if capacity == 0:
-            return 0
-        missing = [int(i) for i in idx if int(i) not in self._cache]
-        if not missing or (capacity is not None and len(missing) > capacity):
-            return 0
-        for start in range(0, len(missing), self._read_batch):
-            batch = missing[start : start + self._read_batch]
-            for record in self._store.read_windows(batch):
-                self._cache.put(record.index, record)
-        self.windows_read += len(missing)
-        return len(missing)
 
     def _iter_records(self, indices: np.ndarray) -> Iterator[WindowRecord]:
         """Yield records in order, reading misses from the store in batches."""
@@ -1145,9 +1100,6 @@ class PrefixProvider(SketchProvider):
 
     def fragment(self, start, stop):
         return self._base.fragment(start, stop)
-
-    def prefetch(self, indices):
-        return self._base.prefetch(indices)
 
     def materialize(self, indices=None):
         return self._base.materialize(indices)

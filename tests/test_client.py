@@ -362,25 +362,3 @@ class TestValidation:
         result = client.execute(QuerySpec(op="matrix", window=ARBITRARY))
         np.testing.assert_array_equal(result.value.values, reference(ARBITRARY))
 
-
-class TestPrefetch:
-    def test_prefetch_warms_store_cache(self, sketch, data, tmp_path):
-        provider = make_provider("store", sketch, data, tmp_path)
-        client = TsubasaClient(provider=provider)
-        selection = client.selection_for(ALIGNED)
-        fetched = client.prefetch(selection.full_windows)
-        assert fetched == 4
-        misses_before = provider.cache_misses
-        client.execute(QuerySpec(op="matrix", window=ALIGNED))
-        assert provider.cache_misses == misses_before  # fully cached
-
-    def test_prefetch_noop_for_memory_backend(self, sketch):
-        client = TsubasaClient(provider=InMemoryProvider(sketch))
-        assert client.prefetch([0, 1, 2]) == 0
-
-    def test_prefetch_skips_oversized_selections(self, sketch, data, tmp_path):
-        store = SqliteSketchStore(tmp_path / "tiny.db")
-        save_sketch(store, sketch)
-        provider = StoreProvider(store, cache_windows=2)
-        client = TsubasaClient(provider=provider)
-        assert client.prefetch(list(range(8))) == 0  # would churn the LRU
