@@ -26,8 +26,11 @@ Beyond the per-query rows, three system-level axes are recorded:
 * ``ns_scale`` — the same full-range query at 1k → 50k basic *windows*:
   ``direct`` streams the whole selection through the Lemma 1 kernel
   (O(ns * n^2)), ``prefix_cold`` / ``prefix_warm`` answer from the store's
-  persisted prefix-aggregate tables (O(n^2), flat in ``ns``). CI gates on
-  ``prefix_cold`` beating ``direct`` at the largest point
+  persisted prefix-aggregate tables (O(n^2), flat in ``ns``). The
+  ``arbitrary_*`` twins run a non-aligned window one point short at each
+  end, so the prefix path also folds in raw head/tail fragments. CI gates
+  on ``prefix_cold`` beating ``direct`` and ``arbitrary_prefix_cold``
+  beating ``arbitrary_direct`` at the largest point
   (``benchmarks/check_prefix_gate.py``);
 * ``service`` — :class:`~repro.api.service.TsubasaService` throughput
   (queries/sec) over one shared provider at client concurrency 1/8/32, with
@@ -363,7 +366,11 @@ def run_ns_scale(store_dir: Path) -> list[dict]:
     three ways: ``prefix_cold`` (fresh provider per repeat — open the store,
     map the tables, combine two rows), ``prefix_warm`` (provider reused),
     and ``direct`` (prefix serving disabled, the full streaming reduction).
-    Results are cross-checked within the kernel's documented tolerance.
+    The non-aligned window ``[1, ns * B - 1)`` is timed two ways over
+    providers holding the raw data: ``arbitrary_prefix_cold`` (fresh
+    provider per repeat; prefix rows plus two raw fragments) and
+    ``arbitrary_direct`` (prefix serving disabled). Results are
+    cross-checked within the kernel's documented tolerance.
     """
     from repro.core.prefix import PREFIX_ATOL
 
@@ -378,7 +385,7 @@ def run_ns_scale(store_dir: Path) -> list[dict]:
         with MmapStore(mmap_path) as store:
             save_sketch(store, sketch)
             store.build_prefix()
-        del sketch, data
+        del sketch
         spec = QuerySpec(
             op="matrix",
             window=WindowSpec(first_window=0, n_windows=n_windows),
@@ -416,6 +423,44 @@ def run_ns_scale(store_dir: Path) -> list[dict]:
             "n_windows": n_windows,
             "seconds": _best_of(lambda: direct_client.execute(spec), repeats=3),
         })
+
+        arbitrary = QuerySpec(
+            op="matrix",
+            window=WindowSpec(
+                start=1, stop=n_windows * NS_SCALE_BASIC_WINDOW - 1
+            ),
+        )
+        arbitrary_direct_client = TsubasaClient(
+            provider=MmapProvider(mmap_path, data=data, prefix=False)
+        )
+        reference = arbitrary_direct_client.execute(arbitrary)
+        check = TsubasaClient(
+            provider=MmapProvider(mmap_path, data=data)
+        ).execute(arbitrary)
+        assert reference.provenance.path == "direct"
+        assert check.provenance.path == "prefix"
+        np.testing.assert_allclose(
+            check.value.values, reference.value.values,
+            rtol=0.0, atol=PREFIX_ATOL,
+        )
+
+        def arbitrary_prefix_cold():
+            client = TsubasaClient(provider=MmapProvider(mmap_path, data=data))
+            assert client.execute(arbitrary).provenance.path == "prefix"
+
+        rows.append({
+            "backend": "arbitrary_prefix_cold",
+            "n_windows": n_windows,
+            "seconds": _best_of(arbitrary_prefix_cold, repeats=3),
+        })
+        rows.append({
+            "backend": "arbitrary_direct",
+            "n_windows": n_windows,
+            "seconds": _best_of(
+                lambda: arbitrary_direct_client.execute(arbitrary), repeats=3
+            ),
+        })
+        del data
     return rows
 
 

@@ -27,7 +27,11 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.api.spec import Provenance, QueryResult, QuerySpec, WindowSpec
-from repro.core.exact import DEFAULT_CHUNK_WINDOWS, query_correlation_matrix
+from repro.core.exact import (
+    DEFAULT_CHUNK_WINDOWS,
+    query_correlation_matrix,
+    selection_fragments,
+)
 from repro.core.matrix import CorrelationMatrix
 from repro.core.network import ClimateNetwork
 from repro.core.queries import (
@@ -292,13 +296,17 @@ class TsubasaClient:
             matrix = result.as_matrix(provider.names)
             execution = "parallel"
         else:
-            # Contiguous aligned ranges go through the backend's prefix
-            # tables when it has them: O(n^2) per query, independent of the
-            # number of selected windows. Everything else streams the direct
-            # Lemma 1 reduction.
+            # A contiguous interior goes through the backend's prefix tables
+            # when it has them: O(n^2) per query, independent of the number
+            # of selected windows, with a non-aligned window's head/tail
+            # fragments folded in as two more terms. The fragments are
+            # sketched first, so a backend without raw data raises before
+            # any table read. Everything else streams the direct Lemma 1
+            # reduction.
             bounds = provider.prefix_range(selection)
             if bounds is not None:
-                values = provider.prefix_matrix(*bounds)
+                fragments = selection_fragments(provider, selection, self._data)
+                values = provider.prefix_matrix(*bounds, fragments)
                 path = "prefix"
             else:
                 values = query_correlation_matrix(

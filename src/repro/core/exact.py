@@ -10,8 +10,11 @@ answered by:
    the provider (chunked, so a disk-backed query never materializes the full
    ``(ns, n, n)`` covariance tensor),
 3. sketching the (possibly empty) partial head/tail fragments from raw data
-   on the fly — these are just two extra variable-size "basic windows" as far
-   as Lemma 1 is concerned, and
+   on the fly (:func:`selection_fragments`) — these are just two extra
+   variable-size "basic windows" as far as Lemma 1 is concerned, so a
+   backend with prefix-aggregate tables folds them into its ``O(n^2)``
+   range combination (:func:`~repro.core.prefix.combine_matrix_prefix`)
+   and skips steps 2 and 4 for any contiguous interior its tables cover, and
 4. combining everything with the vectorized Lemma 1 kernel
    (:func:`~repro.core.lemma1.combine_matrix_chunked`) into the complete,
    exact correlation matrix, from which any threshold yields the network.
@@ -47,10 +50,12 @@ from repro.exceptions import DataError, SketchError
 if TYPE_CHECKING:
     from repro.api.client import TsubasaClient
     from repro.api.spec import WindowSpec
+    from repro.core.prefix import Fragment
     from repro.core.pruning import PruningResult
 
 __all__ = [
     "fragment_stats",
+    "selection_fragments",
     "query_correlation_matrix",
     "query_correlation_row",
     "TsubasaHistorical",
@@ -109,6 +114,30 @@ def fragment_stats(
     return mean, block.std(axis=1), cov, block.shape[1]
 
 
+def selection_fragments(
+    provider: SketchProvider,
+    selection: WindowSelection,
+    data: np.ndarray | None = None,
+) -> list[Fragment]:
+    """Sketch a selection's (at most two) partial head/tail fragments.
+
+    The fragments come from ``data`` when given (a caller's raw-data
+    override), else from the provider's own raw data
+    (:meth:`~repro.engine.providers.SketchProvider.fragment`), which raises
+    :class:`~repro.exceptions.SketchError` on a backend without it. Callers
+    sketch fragments before reading any window record or prefix row, so a
+    sketch-only deployment fails fast.
+
+    Returns:
+        ``[head, tail]`` sketches in window order, omitting absent ones.
+    """
+    return [
+        fragment_stats(data, *span) if data is not None else provider.fragment(*span)
+        for span in (selection.head, selection.tail)
+        if span is not None
+    ]
+
+
 def _as_provider(
     source: SketchProvider | Sketch, data: np.ndarray | None
 ) -> SketchProvider:
@@ -141,17 +170,7 @@ def query_correlation_matrix(
     """
     provider = _as_provider(source, data)
     idx = np.asarray(selection.full_windows, dtype=np.int64)
-
-    # Sketch the (at most two) partial fragments up front: they must raise
-    # before any store reads when raw data is unavailable.
-    fragments = []
-    for fragment in (selection.head, selection.tail):
-        if fragment is None:
-            continue
-        if data is not None:
-            fragments.append(fragment_stats(data, *fragment))
-        else:
-            fragments.append(provider.fragment(*fragment))
+    fragments = selection_fragments(provider, selection, data)
 
     def chunks() -> Iterator[
         tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -330,11 +349,15 @@ class TsubasaHistorical:
         """Algorithm 5 network construction: infer entries from Eq. 7 bounds.
 
         Computes anchor *rows* of the correlation matrix from the provider
-        and decides as many boolean entries as the bounds allow; only aligned
-        query windows are supported (anchor rows read sketches directly).
+        and decides as many boolean entries as the bounds allow. Backends
+        with prefix-aggregate tables serve any window whose interior they
+        cover, folding a non-aligned window's head/tail fragments into each
+        anchor row; otherwise only aligned query windows are supported
+        (anchor rows read sketches directly).
 
         Args:
-            query: The (aligned) query window.
+            query: The query window (aligned, unless the provider's prefix
+                tables cover its interior).
             theta: Correlation threshold in ``(0, 1)``.
             max_anchors: Anchor budget (``None`` = up to every series).
 
@@ -346,27 +369,28 @@ class TsubasaHistorical:
 
         window = self._resolve(query)
         selection = self._plan.align(window)
-        if not selection.is_aligned:
-            raise SketchError(
-                "pruned construction requires an aligned query window"
-            )
         idx = selection.full_windows
         # Algorithm 5 materializes many anchor rows; on a lazy backend each
         # cov_rows() call would re-stream the whole selection from the store,
         # so load the selection once (a single record pass) and serve every
         # row from memory. Backends with prefix-aggregate tables skip even
-        # that: a contiguous selection's anchor rows come straight from the
-        # tables in O(n) each (combine_row_prefix), independent of how many
-        # windows the selection spans — decisions then match exact
-        # thresholding within the prefix accuracy contract
+        # that: a contiguous interior's anchor rows come straight from the
+        # tables in O(n) each (combine_row_prefix), with the head/tail
+        # fragments sketched once and folded into every row — decisions
+        # then match exact thresholding within the prefix accuracy contract
         # (repro.core.prefix.PREFIX_ATOL).
         bounds = self._provider.prefix_range(selection)
         if bounds is not None:
             lo, hi = bounds
+            fragments = selection_fragments(self._provider, selection)
 
             def compute_row(i: int) -> np.ndarray:
-                return self._provider.prefix_row(lo, hi, i)
+                return self._provider.prefix_row(lo, hi, i, fragments)
 
+        elif not selection.is_aligned:
+            raise SketchError(
+                "pruned construction requires an aligned query window"
+            )
         elif isinstance(self._provider, InMemoryProvider):
             means, stds, sizes = self._provider.window_stats(idx)
 

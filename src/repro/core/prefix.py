@@ -23,6 +23,12 @@ Precompute the cumulative tables once at sketch-build time and any contiguous
 range ``[lo, hi)`` is answered by two row lookups and a subtraction —
 ``O(n^2)`` work independent of the number of selected windows.
 
+An arbitrary (non-aligned) query window adds at most two partial raw
+fragments, a head before ``lo`` and a tail after ``hi``. To Lemma 1 these are
+just two more variable-size windows, so their sketches ``(m, sigma, cov, B)``
+are centered with the same offsets and folded into the range moments as two
+more terms before the guarded finish — still ``O(n^2)``.
+
 Numerical accuracy contract
 ---------------------------
 
@@ -45,13 +51,17 @@ Two measures keep the tables usable at ``ns >= 50k`` (fuzz-tested in
   is ``O(_KAHAN_BLOCK * eps)``, independent of ``ns``.
 
 The residual error is governed by the conditioning of the subtraction,
-``kappa = (sum B (sigma^2 + m'^2)) / pooled``: roughly, how far the query
-range's mean sits from the build-time offset, measured in within-range
-standard deviations. The documented contract, enforced by the fuzz suite:
+``kappa = (sum B (sigma^2 + m'^2)) / pooled``, where the sums run over the
+interior windows *and* any head/tail fragment terms: roughly, how far the
+query range's mean sits from the build-time offset, measured in
+within-range standard deviations. A fragment whose mean sits far from the
+offsets (a level shift) raises both the numerator and the pooled variance,
+so it does not by itself degrade ``kappa``. The documented contract, enforced by the fuzz suite:
 for ranges with ``kappa <= ~1e8`` (mean drift up to ~1e4 standard
 deviations), :func:`combine_matrix_prefix` matches the direct
-:func:`~repro.core.lemma1.combine_matrix` within :data:`PREFIX_ATOL` on
-every correlation entry; typical error on stationary data is below 1e-12.
+:func:`~repro.core.lemma1.combine_matrix` over the same segments (interior
+windows plus fragments) within :data:`PREFIX_ATOL` on every correlation
+entry; typical error on stationary data is below 1e-12.
 Ranges whose pooled variance falls below :data:`VARIANCE_GUARD` of the
 centered second moment — or below ``_KAHAN_BLOCK * eps`` of the prefix row
 magnitude, the rounding already baked into the cumulative tables (short
@@ -62,6 +72,7 @@ indistinguishable from constant in float64 and are reported as constant
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +81,7 @@ from repro.core.lemma1 import check_window_stats
 from repro.exceptions import SketchError
 
 __all__ = [
+    "Fragment",
     "PrefixAggregates",
     "build_prefix_aggregates",
     "combine_matrix_prefix",
@@ -90,6 +102,10 @@ VARIANCE_GUARD = 1e-11
 
 #: Windows per plain-cumsum block between compensated carries.
 _KAHAN_BLOCK = 512
+
+#: One raw head/tail fragment's sketch, ``(means, stds, cov, size)`` across
+#: all series, as :func:`~repro.core.exact.fragment_stats` returns it.
+Fragment = tuple[np.ndarray, np.ndarray, np.ndarray, int]
 
 
 def _extend_cumsum(table: np.ndarray, rows: int, values: np.ndarray) -> None:
@@ -330,6 +346,46 @@ def build_prefix_aggregates(
     return aggregates
 
 
+def _range_moments(
+    aggregates: PrefixAggregates,
+    lo: int,
+    hi: int,
+    fragments: Sequence[Fragment],
+) -> tuple[float, np.ndarray, np.ndarray, list[tuple[float, np.ndarray, np.ndarray]]]:
+    """Centered moments of windows ``[lo, hi)`` plus the fragment terms.
+
+    Each fragment ``(m, sigma, cov, B)`` is centered with the tables' offsets
+    (``d = m - c``) and folded in as one more window: ``T += B``,
+    ``s1 += B d``, ``s2 += B (sigma^2 + d^2)``. Its cross term
+    ``B (cov + d d^T)`` is returned as ``(B, d, cov)`` rather than added
+    here, because the matrix and row kernels need different slices of it.
+
+    Returns:
+        ``(T, s1, s2, terms)``.
+    """
+    total, s1, s2 = aggregates.moments(lo, hi)
+    n = aggregates.n_series
+    terms = []
+    for mean, std, cov, size in fragments:
+        mean = np.asarray(mean, dtype=np.float64)
+        std = np.asarray(std, dtype=np.float64)
+        cov = np.asarray(cov, dtype=np.float64)
+        weight = float(size)
+        if mean.shape != (n,) or std.shape != (n,) or cov.shape != (n, n):
+            raise SketchError(
+                f"fragment shapes {mean.shape}/{std.shape}/{cov.shape} "
+                f"incompatible with {n} series"
+            )
+        if weight <= 0.0:
+            raise SketchError(f"fragment size must be positive, got {size}")
+        delta = mean - aggregates.offsets
+        total += weight
+        s1 = s1 + weight * delta
+        s2 = s2 + weight * (std**2 + delta**2)
+        terms.append((weight, delta, cov))
+    return total, s1, s2, terms
+
+
 def _pooled_scales(
     total: float, mu: np.ndarray, s2: np.ndarray, row_magnitude: np.ndarray
 ) -> np.ndarray:
@@ -357,11 +413,14 @@ def _pooled_scales(
 
 
 def combine_matrix_prefix(
-    aggregates: PrefixAggregates, lo: int, hi: int
+    aggregates: PrefixAggregates,
+    lo: int,
+    hi: int,
+    fragments: Sequence[Fragment] = (),
 ) -> np.ndarray:
     """Exact all-pairs correlation over windows ``[lo, hi)`` in ``O(n^2)``.
 
-    Matches :func:`~repro.core.lemma1.combine_matrix` over the same windows
+    Matches :func:`~repro.core.lemma1.combine_matrix` over the same segments
     within :data:`PREFIX_ATOL` (see the module docstring's accuracy
     contract), at a cost independent of ``hi - lo``.
 
@@ -369,17 +428,20 @@ def combine_matrix_prefix(
         aggregates: Prefix tables covering at least window ``hi - 1``.
         lo: First selected basic window (inclusive).
         hi: Last selected basic window (exclusive).
+        fragments: Up to two raw head/tail fragment sketches of an
+            arbitrary query window, combined as extra Lemma 1 terms.
 
     Returns:
         The ``(n, n)`` Pearson correlation matrix, unit diagonal; rows and
         columns of (effectively) constant series are zero off-diagonal.
     """
-    total, s1, s2 = aggregates.moments(lo, hi)
+    total, s1, s2, terms = _range_moments(aggregates, lo, hi, fragments)
     mu = s1 / total
     scale = _pooled_scales(total, mu, s2, aggregates.second[hi])
-    numer = (
-        aggregates.cross[hi] - aggregates.cross[lo] - total * np.outer(mu, mu)
-    )
+    cross = aggregates.cross[hi] - aggregates.cross[lo]
+    for weight, delta, cov in terms:
+        cross += weight * (cov + np.outer(delta, delta))
+    numer = cross - total * np.outer(mu, mu)
     denom = np.outer(scale, scale)
     corr = np.zeros_like(denom)
     np.divide(numer, denom, out=corr, where=denom > 0.0)
@@ -389,7 +451,11 @@ def combine_matrix_prefix(
 
 
 def combine_row_prefix(
-    aggregates: PrefixAggregates, lo: int, hi: int, row: int
+    aggregates: PrefixAggregates,
+    lo: int,
+    hi: int,
+    row: int,
+    fragments: Sequence[Fragment] = (),
 ) -> np.ndarray:
     """One correlation-matrix row over windows ``[lo, hi)`` in ``O(n)``.
 
@@ -401,21 +467,22 @@ def combine_row_prefix(
         lo: First selected basic window (inclusive).
         hi: Last selected basic window (exclusive).
         row: Index of the anchor series.
+        fragments: Up to two raw head/tail fragment sketches, as for
+            :func:`combine_matrix_prefix`.
 
     Returns:
         Length-``n`` array of exact correlations (entry ``row`` is 1.0).
     """
-    total, s1, s2 = aggregates.moments(lo, hi)
     n = aggregates.n_series
     if not 0 <= row < n:
         raise SketchError(f"row {row} out of range [0, {n})")
+    total, s1, s2, terms = _range_moments(aggregates, lo, hi, fragments)
     mu = s1 / total
     scale = _pooled_scales(total, mu, s2, aggregates.second[hi])
-    numer = (
-        aggregates.cross[hi, row]
-        - aggregates.cross[lo, row]
-        - total * mu[row] * mu
-    )
+    cross = aggregates.cross[hi, row] - aggregates.cross[lo, row]
+    for weight, delta, cov in terms:
+        cross += weight * (cov[row] + delta[row] * delta)
+    numer = cross - total * mu[row] * mu
     denom = scale[row] * scale
     out = np.zeros(n)
     np.divide(numer, denom, out=out, where=denom > 0.0)

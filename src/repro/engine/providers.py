@@ -31,23 +31,24 @@ Three providers are shipped:
   per-record deserialization and no copies for contiguous window ranges
   (the common aligned-query case). Cold queries skip the database entirely
   and read straight through the OS page cache. Stores carrying persisted
-  ``prefix_*`` tables additionally answer contiguous ranges from two mapped
-  prefix rows (:meth:`SketchProvider.prefix_matrix`), independent of the
-  range length.
+  ``prefix_*`` tables additionally answer contiguous ranges — plus the
+  head/tail fragments of a non-aligned window, when raw data is present —
+  from two mapped prefix rows (:meth:`SketchProvider.prefix_matrix`),
+  independent of the range length.
 * :class:`PrefixProvider` — a wrapper over *any* of the above: contiguous
-  aligned selections are answered in ``O(n^2)`` from prefix-aggregate
-  tables (:mod:`repro.core.prefix`) — built lazily from one streaming pass
-  over the wrapped backend, or adopted zero-copy from an
-  :class:`~repro.storage.mmap_store.MmapStore`'s persisted tables — while
-  fragmented or non-contiguous selections delegate to the wrapped provider
-  unchanged.
+  selections, with or without head/tail fragments, are answered in
+  ``O(n^2)`` from prefix-aggregate tables (:mod:`repro.core.prefix`) —
+  built lazily from one streaming pass over the wrapped backend, or adopted
+  zero-copy from an :class:`~repro.storage.mmap_store.MmapStore`'s
+  persisted tables — while non-contiguous selections delegate to the
+  wrapped provider unchanged.
 """
 
 from __future__ import annotations
 
 import abc
 from collections import OrderedDict
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -60,6 +61,7 @@ from repro.exceptions import DataError, SketchError, StorageError
 from repro.storage.base import SketchStore, StoreMetadata, WindowRecord
 
 if TYPE_CHECKING:
+    from repro.core.prefix import Fragment
     from repro.storage.mmap_store import MmapStore
 
 __all__ = [
@@ -229,40 +231,50 @@ class SketchProvider(abc.ABC):
     # -- prefix aggregates ---------------------------------------------------
 
     def prefix_range(self, selection) -> tuple[int, int] | None:
-        """Window bounds if ``selection`` is answerable from prefix tables.
+        """Interior window bounds if ``selection`` is answerable from prefix tables.
 
         Backends holding prefix-aggregate tables (:mod:`repro.core.prefix`)
         override this to return the half-open basic-window bounds ``(lo,
-        hi)`` of an aligned, contiguous, non-empty selection they can serve
-        in ``O(n^2)`` via :meth:`prefix_matrix`; ``None`` (the default, and
-        for every fragmented/non-contiguous selection) routes the query
-        down the direct streaming path.
+        hi)`` of a selection's contiguous, non-empty run of full windows
+        that their committed tables cover, whether or not the selection
+        also has raw head/tail fragments; :meth:`prefix_matrix` then serves
+        it in ``O(n^2)``. ``None`` (the default, and for selections with no
+        full window, non-contiguous ones, or ones past the committed rows)
+        routes the query down the direct streaming path.
 
         Args:
             selection: A :class:`~repro.core.segmentation.WindowSelection`.
         """
         return None
 
-    def prefix_matrix(self, lo: int, hi: int) -> np.ndarray:
+    def prefix_matrix(
+        self, lo: int, hi: int, fragments: Sequence[Fragment] = ()
+    ) -> np.ndarray:
         """All-pairs correlation over windows ``[lo, hi)`` from prefix tables.
 
-        Only meaningful for bounds previously returned by
-        :meth:`prefix_range`; backends without prefix tables raise.
+        ``fragments`` are the sketches of a non-aligned window's raw
+        head/tail fragments (:meth:`fragment`), folded in as extra Lemma 1
+        terms (:func:`~repro.core.prefix.combine_matrix_prefix`). Only
+        meaningful for bounds previously returned by :meth:`prefix_range`;
+        backends without prefix tables raise.
         """
         raise SketchError(
             f"the {self.backend_name!r} backend holds no prefix-aggregate "
             "tables"
         )
 
-    def prefix_row(self, lo: int, hi: int, row: int) -> np.ndarray:
+    def prefix_row(
+        self, lo: int, hi: int, row: int, fragments: Sequence[Fragment] = ()
+    ) -> np.ndarray:
         """One correlation row over windows ``[lo, hi)`` from prefix tables.
 
         The ``O(n)`` anchor-row primitive Algorithm 5's pruning path uses
         (:func:`~repro.core.prefix.combine_row_prefix`): only row ``row`` of
         the cross table is touched, so an anchor row costs ``O(n)`` from the
-        tables instead of re-streaming the whole selection. Only meaningful
-        for bounds previously returned by :meth:`prefix_range`; backends
-        without prefix tables raise.
+        tables instead of re-streaming the whole selection. ``fragments``
+        are as for :meth:`prefix_matrix`. Only meaningful for bounds
+        previously returned by :meth:`prefix_range`; backends without prefix
+        tables raise.
         """
         raise SketchError(
             f"the {self.backend_name!r} backend holds no prefix-aggregate "
@@ -626,13 +638,12 @@ def _contiguous_slice(indices: np.ndarray) -> slice | None:
 
 
 def _prefix_bounds(selection) -> tuple[int, int] | None:
-    """Half-open window bounds of an aligned contiguous selection, else None.
+    """Half-open bounds of a selection's full windows if contiguous, else None.
 
-    The shape every prefix-aggregate path requires: no raw head/tail
-    fragments, at least one basic window, and an ascending run of indices.
+    The shape every prefix-aggregate path requires: at least one basic
+    window and an ascending run of indices. Raw head/tail fragments do not
+    matter here — the prefix kernels fold them in as extra terms.
     """
-    if not selection.is_aligned:
-        return None
     indices = np.asarray(selection.full_windows, dtype=np.int64)
     run = _contiguous_slice(indices)
     if run is None or run.stop <= run.start:
@@ -651,9 +662,13 @@ class MmapProvider(SketchProvider):
 
     Stores whose directory carries persisted ``prefix_*`` tables (written by
     :meth:`~repro.storage.mmap_store.MmapStore.build_prefix`) additionally
-    serve contiguous aligned selections straight from two mapped prefix rows
-    — ``O(n^2)`` per query regardless of how many windows the range spans,
-    and still zero-copy.
+    serve contiguous selections straight from two mapped prefix rows —
+    ``O(n^2)`` per query regardless of how many windows the range spans, and
+    still zero-copy. A non-aligned window's head/tail fragments are sketched
+    from ``data`` and folded in as two more Lemma 1 terms; the streaming
+    path remains for ``prefix=False``, selections with no full basic window,
+    and interiors past stale prefix rows (an append since the last
+    ``build_prefix``).
 
     Args:
         source: An open :class:`~repro.storage.mmap_store.MmapStore`, or a
@@ -661,10 +676,10 @@ class MmapProvider(SketchProvider):
             workers use to re-map a shared store in their own process).
         data: Optional raw ``(n, L)`` matrix enabling arbitrary
             (non-aligned) query windows via head/tail fragments.
-        prefix: Serve contiguous selections from the store's persisted
-            prefix tables when present (default). ``False`` forces every
-            query down the direct streaming path (benchmarks and accuracy
-            cross-checks).
+        prefix: Serve contiguous selections (with or without fragments) from
+            the store's persisted prefix tables when present (default).
+            ``False`` forces every query down the direct streaming path
+            (benchmarks and accuracy cross-checks).
     """
 
     backend_name = "mmap"
@@ -760,19 +775,19 @@ class MmapProvider(SketchProvider):
             return None
         return bounds
 
-    def prefix_matrix(self, lo, hi):
+    def prefix_matrix(self, lo, hi, fragments=()):
         if self._prefix is None:
-            return super().prefix_matrix(lo, hi)
+            return super().prefix_matrix(lo, hi, fragments)
         from repro.core.prefix import combine_matrix_prefix
 
-        return combine_matrix_prefix(self._prefix, lo, hi)
+        return combine_matrix_prefix(self._prefix, lo, hi, fragments)
 
-    def prefix_row(self, lo, hi, row):
+    def prefix_row(self, lo, hi, row, fragments=()):
         if self._prefix is None:
-            return super().prefix_row(lo, hi, row)
+            return super().prefix_row(lo, hi, row, fragments)
         from repro.core.prefix import combine_row_prefix
 
-        return combine_row_prefix(self._prefix, lo, hi, row)
+        return combine_row_prefix(self._prefix, lo, hi, row, fragments)
 
     def window_stats(self, indices):
         idx = self._check_indices(indices)
@@ -976,14 +991,15 @@ class ChunkedBuildProvider(SketchProvider):
 class PrefixProvider(SketchProvider):
     """Prefix-aggregate acceleration over any :class:`SketchProvider`.
 
-    Contiguous aligned window selections — every aligned query, and the only
-    shape the direct path pays ``O(ns * n^2)`` for — are answered in
+    Contiguous window selections — every aligned query, and every
+    non-aligned one with at least one full basic window — are answered in
     ``O(n^2)`` from cumulative Lemma 1 aggregates
     (:mod:`repro.core.prefix`): two table rows and a subtraction, regardless
-    of how many windows the range spans. Everything else (fragmented
-    windows, genuinely non-contiguous selections, row blocks, raw
-    fragments) delegates to the wrapped provider unchanged, so the wrapper
-    is a drop-in backend for every engine.
+    of how many windows the range spans, plus the raw head/tail fragments
+    (sketched by the wrapped provider) as two more terms. Everything else
+    (genuinely non-contiguous selections, row blocks, raw fragments)
+    delegates to the wrapped provider unchanged, so the wrapper is a
+    drop-in backend for every engine.
 
     The tables come from one of two places:
 
@@ -1141,7 +1157,7 @@ class PrefixProvider(SketchProvider):
             return None
         return bounds
 
-    def prefix_matrix(self, lo, hi):
+    def prefix_matrix(self, lo, hi, fragments=()):
         from repro.core.prefix import combine_matrix_prefix
 
         if not 0 <= lo < hi <= self.n_windows:
@@ -1149,9 +1165,9 @@ class PrefixProvider(SketchProvider):
                 f"prefix range [{lo}, {hi}) outside the sketched windows "
                 f"[0, {self.n_windows})"
             )
-        return combine_matrix_prefix(self._ensure(hi), lo, hi)
+        return combine_matrix_prefix(self._ensure(hi), lo, hi, fragments)
 
-    def prefix_row(self, lo, hi, row):
+    def prefix_row(self, lo, hi, row, fragments=()):
         from repro.core.prefix import combine_row_prefix
 
         if not 0 <= lo < hi <= self.n_windows:
@@ -1159,4 +1175,4 @@ class PrefixProvider(SketchProvider):
                 f"prefix range [{lo}, {hi}) outside the sketched windows "
                 f"[0, {self.n_windows})"
             )
-        return combine_row_prefix(self._ensure(hi), lo, hi, row)
+        return combine_row_prefix(self._ensure(hi), lo, hi, row, fragments)

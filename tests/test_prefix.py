@@ -7,7 +7,9 @@ import pytest
 
 from repro.api.client import AutoPolicy, TsubasaClient
 from repro.api.spec import QuerySpec, WindowSpec
+from repro.core.exact import TsubasaHistorical
 from repro.core.lemma1 import combine_matrix, combine_row
+from repro.core.matrix import threshold_adjacency
 from repro.core.prefix import (
     PREFIX_ATOL,
     PrefixAggregates,
@@ -15,8 +17,10 @@ from repro.core.prefix import (
     combine_matrix_prefix,
     combine_row_prefix,
 )
+from repro.core.segmentation import WindowSelection
 from repro.core.sketch import build_sketch
 from repro.engine.providers import (
+    ChunkedBuildProvider,
     InMemoryProvider,
     MmapProvider,
     PrefixProvider,
@@ -230,15 +234,25 @@ class TestPrefixProvider:
         fragmented = client.execute(
             QuerySpec(op="matrix", window=WindowSpec(end=899, length=500))
         )
-        assert fragmented.provenance.path == "direct"
+        # Head/tail fragments ride the prefix path as two more terms.
+        assert fragmented.provenance.path == "prefix"
         engine_values = TsubasaClient(
             provider=InMemoryProvider(sketch, data=data)
         ).execute(
             QuerySpec(op="matrix", window=WindowSpec(end=899, length=500))
         )
-        np.testing.assert_array_equal(
-            fragmented.value.values, engine_values.value.values
+        assert engine_values.provenance.path == "direct"
+        np.testing.assert_allclose(
+            fragmented.value.values,
+            engine_values.value.values,
+            rtol=0.0,
+            atol=PREFIX_ATOL,
         )
+        # A genuinely non-contiguous selection has no prefix range.
+        gappy = WindowSelection(
+            full_windows=np.array([3, 5, 6]), head=None, tail=None
+        )
+        assert provider.prefix_range(gappy) is None
 
     def test_persisted_tables_adopted_zero_copy(self, stores):
         _, mmap_path = stores
@@ -285,6 +299,104 @@ class TestPrefixProvider:
         result = client.execute(spec)
         assert result.provenance.path == "prefix"
         assert result.value.edge_set() == serial.execute(spec).value.edge_set()
+
+
+class TestNonAlignedRouting:
+    """Non-aligned windows: prefix tables plus head/tail fragment terms."""
+
+    #: 7 points of window 0, windows 1..58 whole, 11 points of window 59.
+    WINDOW = WindowSpec(start=8, stop=896)
+
+    @pytest.fixture()
+    def mmap_path(self, sketch, tmp_path):
+        with MmapStore(tmp_path / "s.mm") as store:
+            save_sketch(store, sketch)
+            store.build_prefix()
+        return tmp_path / "s.mm"
+
+    def matrix(self, provider, window=WINDOW):
+        return TsubasaClient(provider=provider).execute(
+            QuerySpec(op="matrix", window=window)
+        )
+
+    def test_fragments_ride_the_prefix_path(self, sketch, data, mmap_path):
+        direct = self.matrix(MmapProvider(mmap_path, data=data, prefix=False))
+        assert direct.provenance.path == "direct"
+        exact = np.corrcoef(data[:, 8:896])
+        providers = {
+            "mmap": MmapProvider(mmap_path, data=data),
+            "prefix-memory": PrefixProvider(InMemoryProvider(sketch, data=data)),
+            "prefix-chunked": PrefixProvider(ChunkedBuildProvider(data, 15)),
+        }
+        for label, provider in providers.items():
+            result = self.matrix(provider)
+            assert result.provenance.path == "prefix", label
+            for reference in (direct.value.values, exact):
+                np.testing.assert_allclose(
+                    result.value.values, reference, rtol=0.0,
+                    atol=PREFIX_ATOL, err_msg=label,
+                )
+
+    def test_client_data_override_supplies_fragments(self, data, mmap_path):
+        client = TsubasaClient(provider=MmapProvider(mmap_path), data=data)
+        result = client.execute(QuerySpec(op="matrix", window=self.WINDOW))
+        assert result.provenance.path == "prefix"
+        np.testing.assert_allclose(
+            result.value.values, np.corrcoef(data[:, 8:896]),
+            rtol=0.0, atol=PREFIX_ATOL,
+        )
+
+    def test_no_full_window_stays_direct(self, data, mmap_path):
+        # [20, 44) lies inside windows 1 and 2 without covering either.
+        result = self.matrix(
+            MmapProvider(mmap_path, data=data), WindowSpec(start=20, stop=44)
+        )
+        assert result.provenance.path == "direct"
+
+    def test_prefix_disabled_stays_direct(self, data, mmap_path):
+        result = self.matrix(MmapProvider(mmap_path, data=data, prefix=False))
+        assert result.provenance.path == "direct"
+
+    def test_interior_past_stale_rows_stays_direct(self, sketch, data, mmap_path):
+        with MmapStore(mmap_path) as store:
+            record = WindowRecord(
+                index=30,
+                means=sketch.means[:, 30].copy(),
+                stds=sketch.stds[:, 30].copy(),
+                pairs=sketch.covs[30].copy(),
+                size=int(sketch.sizes[30]),
+            )
+            store.write_windows([record])
+            assert store.read_prefix().covered == 30
+        provider = MmapProvider(mmap_path, data=data)
+        assert self.matrix(provider).provenance.path == "direct"
+        within = self.matrix(provider, WindowSpec(start=8, stop=440))
+        assert within.provenance.path == "prefix"
+
+    def test_without_raw_data_raises_before_table_reads(self, sketch, mmap_path):
+        lazy = PrefixProvider(InMemoryProvider(sketch))
+        for provider in (MmapProvider(mmap_path), lazy):
+            with pytest.raises(SketchError, match="not aligned"):
+                self.matrix(provider)
+        assert lazy.aggregates is None  # failed before building any table
+
+    def test_pruned_network_on_non_aligned_window(self, data, mmap_path):
+        theta = 0.36  # splits this fixture's pairs into edges and non-edges
+        engine = TsubasaHistorical(provider=MmapProvider(mmap_path, data=data))
+        result = engine.network_pruned((895, 888), theta)
+        exact = np.corrcoef(data[:, 8:896])
+        # Pairs within PREFIX_ATOL of theta may legitimately flip.
+        clear = np.abs(exact - theta) > PREFIX_ATOL
+        assert clear.sum() > 0
+        want = threshold_adjacency(exact, theta)
+        np.testing.assert_array_equal(result.matrix[clear], want[clear])
+        assert 0 < want.sum() < want.size - len(want)
+        # Without prefix tables, pruning still accepts aligned windows only.
+        plain = TsubasaHistorical(
+            provider=MmapProvider(mmap_path, data=data, prefix=False)
+        )
+        with pytest.raises(SketchError, match="aligned"):
+            plain.network_pruned((895, 888), theta)
 
 
 class TestMmapPersistence:

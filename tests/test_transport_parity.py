@@ -7,6 +7,10 @@ reject each with the same error ``type`` and ``code``. The one permitted
 difference is the id of a frame whose own id is invalid: stdin answers it
 under the frame's line number, a WebSocket (which has no line numbers)
 under no id.
+
+A valid non-aligned query, served from an mmap store's prefix tables plus
+its raw head/tail fragments, must come back identical over HTTP and
+WebSocket with protocols v1 and v2.
 """
 
 from __future__ import annotations
@@ -14,11 +18,14 @@ from __future__ import annotations
 import io
 import json
 
+import numpy as np
 import pytest
 
-from repro.api.remote import _WsClientConnection
+from repro.api.remote import TsubasaRemoteClient, _WsClientConnection
 from repro.api.server import serve_in_thread
+from repro.api.spec import QuerySpec, WindowSpec
 from repro.cli import _open_client, _open_store, _open_stream, build_parser, main
+from repro.core.prefix import PREFIX_ATOL
 
 STANDING = {"end": 399, "length": 400}  # every window the store holds
 
@@ -150,3 +157,35 @@ def test_invalid_id_is_never_echoed(exchange):
     # Compared as JSON, so an echoed ``true`` cannot pass for ``1``.
     fallback = "[1, 2]" if exchange.transport == "stdin" else "[null, null]"
     assert json.dumps([reply["id"] for reply in replies]) == fallback
+
+
+def test_non_aligned_query_rides_the_prefix_path_on_every_wire(dataset_file):
+    store = dataset_file.parent / "sketch.mm"
+    argv = ["sketch", "--data", str(dataset_file), "--window-size", "50"]
+    argv += ["--store", str(store), "--store-backend", "mmap", "--prefix"]
+    assert main(argv) == 0
+    args = build_parser().parse_args(
+        ["serve", "--store", str(store), "--backend", "mmap",
+         "--data", str(dataset_file)]
+    )
+    # Points 16..386: a head fragment, windows 1..6, a tail fragment.
+    spec = QuerySpec(op="matrix", window=WindowSpec(end=386, length=371))
+    results = {}
+    with _open_store(args.store) as handle:
+        with serve_in_thread(_open_client(handle, args)) as server:
+            for transport in ("http", "ws"):
+                for protocol in (1, 2):
+                    with TsubasaRemoteClient(
+                        server.address, transport=transport, protocol=protocol
+                    ) as remote:
+                        results[transport, protocol] = remote.execute(spec)
+    assert {key: r.provenance.path for key, r in results.items()} == {
+        key: "prefix" for key in results
+    }
+    values = results["http", 1].value.values
+    for result in results.values():
+        np.testing.assert_array_equal(result.value.values, values)
+    raw = np.load(dataset_file)["values"]
+    np.testing.assert_allclose(
+        values, np.corrcoef(raw[:, 16:387]), rtol=0.0, atol=PREFIX_ATOL
+    )
