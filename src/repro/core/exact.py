@@ -42,6 +42,7 @@ import numpy as np
 from repro.core.lemma1 import combine_matrix_chunked, combine_row
 from repro.core.matrix import CorrelationMatrix
 from repro.core.network import ClimateNetwork
+from repro.core.packing import pack_symmetric
 from repro.core.segmentation import BasicWindowPlan, QueryWindow, WindowSelection
 from repro.core.sketch import Sketch, build_sketch
 from repro.engine.providers import InMemoryProvider, SketchProvider
@@ -182,7 +183,7 @@ def query_correlation_matrix(
                 mean[:, None],
                 std[:, None],
                 np.array([float(size)]),
-                cov[None],
+                pack_symmetric(cov[None]),
             )
 
     return combine_matrix_chunked(chunks())

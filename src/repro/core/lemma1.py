@@ -57,6 +57,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
+from repro.core.packing import pack_symmetric, packed_size, unpack_symmetric
 from repro.core.stats import PairWindowStats, WindowStats
 from repro.exceptions import SketchError
 
@@ -142,9 +143,8 @@ def _weighted_cov_sum(sizes: np.ndarray, covs: np.ndarray) -> np.ndarray:
     """``sum_j B_j * covs[j]`` via one BLAS matrix-vector product.
 
     Equivalent to ``np.einsum("j,jab->ab", sizes, covs)`` but ~2x faster at
-    query sizes: for the C-contiguous (or contiguously memory-mapped) chunk
-    tensors every provider produces, the reshape is a view and the reduction
-    is a single dgemv over the flattened windows. The trailing dimensions
+    query sizes: for C-contiguous row blocks the reshape is a view and the
+    reduction is a single dgemv over the flattened windows. The trailing dimensions
     are flattened explicitly because ``reshape(k, -1)`` cannot infer an axis
     for size-0 inputs (empty chunks, empty row blocks), which einsum
     handled.
@@ -372,16 +372,21 @@ def combine_matrix_chunked(
 
     Identical result to :func:`combine_matrix`, but consumes window-ordered
     ``(means, stds, sizes, covs)`` chunks — shapes ``(n, k)``, ``(n, k)``,
-    ``(k,)``, ``(k, n, n)`` — so a backend delivers each window record
-    exactly once. The weighted covariance sum ``sum_j B_j * cov_j`` does not
-    depend on the grand means, so it is accumulated as chunks stream by;
-    only the ``ns``-times-smaller per-series statistics are collected whole
-    and folded in at the end. Peak memory is one chunk plus the ``(n, n)``
+    ``(k,)``, ``(k, P)`` with each window's covariance matrix as a packed
+    upper-triangle row (:func:`~repro.core.packing.pack_symmetric`,
+    ``P = n (n + 1) / 2``) — so a backend delivers each window record exactly
+    once, and each pair once. The weighted covariance sum ``sum_j B_j *
+    cov_j`` does not depend on the grand means, so it is accumulated on
+    packed rows as chunks stream by and unpacked to ``n x n`` once; only the
+    ``ns``-times-smaller per-series statistics are collected whole and
+    folded in at the end. Peak memory is one chunk plus the ``(P,)``
     accumulator.
 
     Args:
         chunks: Iterable of ``(means, stds, sizes, covs)`` chunk tuples,
-            concatenating in window order to the full query selection.
+            concatenating in window order to the full query selection. The
+            packed ``covs`` should be C-contiguous (as every provider yields
+            them): BLAS sums other layouts in a different order.
 
     Returns:
         The exact ``(n, n)`` Pearson correlation matrix, unit diagonal.
@@ -398,19 +403,19 @@ def combine_matrix_chunked(
         chunk_covs = np.asarray(chunk_covs, dtype=np.float64)
         if weighted_cov is None:
             n = chunk_means.shape[0]
-            weighted_cov = np.zeros((n, n), dtype=np.float64)
+            weighted_cov = np.zeros(packed_size(n), dtype=np.float64)
         k = chunk_sizes.size
         if chunk_means.shape != (n, k) or chunk_stds.shape != (n, k):
             raise SketchError(
                 f"chunk stats shapes {chunk_means.shape}/{chunk_stds.shape} "
                 f"incompatible with {k} windows of {n} series"
             )
-        if chunk_covs.shape != (k, n, n):
+        if chunk_covs.shape != (k, packed_size(n)):
             raise SketchError(
                 f"chunk covs shape {chunk_covs.shape} incompatible with "
-                f"{k} windows of {n} series"
+                f"{k} packed windows of {n} series"
             )
-        weighted_cov += _weighted_cov_sum(chunk_sizes, chunk_covs)
+        weighted_cov += chunk_sizes @ chunk_covs
         means_parts.append(chunk_means)
         stds_parts.append(chunk_stds)
         sizes_parts.append(chunk_sizes)
@@ -423,7 +428,7 @@ def combine_matrix_chunked(
         np.concatenate(sizes_parts),
     )
     delta, scale = pooled_deltas_scales(means, stds, sizes)
-    numer = weighted_cov + (delta * sizes) @ delta.T
+    numer = unpack_symmetric(weighted_cov, n) + (delta * sizes) @ delta.T
     denom = np.outer(scale, scale)
     corr = np.zeros((n, n), dtype=np.float64)
     np.divide(numer, denom, out=corr, where=denom > 0.0)
@@ -442,7 +447,8 @@ def combine_matrix_streaming(
 
     Convenience form of :func:`combine_matrix_chunked` for callers that hold
     the (small) per-series statistics whole and stream only the ``(ns, n,
-    n)`` covariance tensor as window-ordered chunks.
+    n)`` covariance tensor as window-ordered chunks; each chunk is packed
+    (:func:`~repro.core.packing.pack_symmetric`) on its way in.
 
     Args:
         means: Per-series per-window means, shape ``(n, ns)``.
@@ -474,7 +480,7 @@ def combine_matrix_streaming(
                 means[:, offset : offset + k],
                 stds[:, offset : offset + k],
                 sizes[offset : offset + k],
-                chunk,
+                pack_symmetric(chunk),
             )
             offset += k
         if offset != ns:

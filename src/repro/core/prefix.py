@@ -21,7 +21,10 @@ grand-mean-free aggregates:
 
 Precompute the cumulative tables once at sketch-build time and any contiguous
 range ``[lo, hi)`` is answered by two row lookups and a subtraction —
-``O(n^2)`` work independent of the number of selected windows.
+``O(n^2)`` work independent of the number of selected windows. The per-pair
+table keeps each symmetric pair once, as a packed upper-triangle row
+(:mod:`repro.core.packing`); the subtraction runs on packed rows and the
+answer is unpacked to ``n x n`` once.
 
 An arbitrary (non-aligned) query window adds at most two partial raw
 fragments, a head before ``lo`` and a tail after ``hi``. To Lemma 1 these are
@@ -78,6 +81,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.lemma1 import check_window_stats
+from repro.core.packing import (
+    pack_symmetric,
+    packed_index,
+    packed_size,
+    unpack_symmetric,
+)
 from repro.exceptions import SketchError
 
 __all__ = [
@@ -142,7 +151,9 @@ class PrefixAggregates:
     * ``count[k] = sum B_j``
     * ``first[k, x] = sum B_j m'_xj``
     * ``second[k, x] = sum B_j (sigma_xj^2 + m'_xj^2)``
-    * ``cross[k, x, y] = sum B_j (cov_xyj + m'_xj m'_yj)``
+    * ``cross[k, p] = sum B_j (cov_xyj + m'_xj m'_yj)`` for the pair
+      ``(x, y) = (iu[p], ju[p])`` of the packed upper triangle
+      (:func:`~repro.core.packing.packed_index`)
 
     Arrays may be larger than ``rows`` (preallocated capacity, or a mapped
     file sized for the full store); only rows ``[0, rows)`` are valid. Row 0
@@ -159,7 +170,8 @@ class PrefixAggregates:
         count: Prefix window-size sums, shape ``(capacity,)``.
         first: Prefix centered first moments, shape ``(capacity, n)``.
         second: Prefix centered second moments, shape ``(capacity, n)``.
-        cross: Prefix centered cross moments, shape ``(capacity, n, n)``.
+        cross: Prefix centered cross moments as packed upper-triangle rows,
+            shape ``(capacity, P)`` with ``P = n (n + 1) / 2``.
         rows: Number of valid prefix rows (``0`` = nothing, including no
             zero row).
     """
@@ -187,7 +199,7 @@ class PrefixAggregates:
                 f"prefix moment tables {self.first.shape}/{self.second.shape} "
                 f"incompatible with capacity {capacity}, {n} series"
             )
-        if self.cross.shape != (capacity, n, n):
+        if self.cross.shape != (capacity, packed_size(n)):
             raise SketchError(
                 f"prefix cross table {self.cross.shape} incompatible with "
                 f"capacity {capacity}, {n} series"
@@ -233,7 +245,7 @@ class PrefixAggregates:
             count=np.zeros(capacity),
             first=np.zeros((capacity, n)),
             second=np.zeros((capacity, n)),
-            cross=np.zeros((capacity, n, n)),
+            cross=np.zeros((capacity, packed_size(n))),
             rows=1,
         )
 
@@ -249,7 +261,9 @@ class PrefixAggregates:
         Args:
             means: Per-series means of the appended windows, shape ``(n, k)``.
             stds: Per-series population stds, shape ``(n, k)``.
-            covs: Per-window covariance matrices, shape ``(k, n, n)``.
+            covs: Per-window covariance matrices as packed upper-triangle
+                rows, shape ``(k, P)``
+                (:func:`~repro.core.packing.pack_symmetric`).
             sizes: Per-window sizes, shape ``(k,)``.
         """
         if not self.writable:
@@ -263,10 +277,10 @@ class PrefixAggregates:
                 f"chunk holds {n} series, prefix tables hold {self.n_series}"
             )
         covs = np.asarray(covs, dtype=np.float64)
-        if covs.shape != (k, n, n):
+        if covs.shape != (k, packed_size(n)):
             raise SketchError(
                 f"chunk covs shape {covs.shape} incompatible with "
-                f"{k} windows of {n} series"
+                f"{k} packed windows of {n} series"
             )
         if self.rows + k > self.capacity:
             raise SketchError(
@@ -275,15 +289,13 @@ class PrefixAggregates:
             )
         centered = (means - self.offsets[:, None]).T  # (k, n)
         weights = sizes[:, None]
+        iu, ju, _ = packed_index(n)
         rows = self.rows
         _extend_cumsum(self.count, rows, sizes)
         _extend_cumsum(self.first, rows, weights * centered)
         _extend_cumsum(self.second, rows, weights * (stds.T**2 + centered**2))
         _extend_cumsum(
-            self.cross,
-            rows,
-            sizes[:, None, None]
-            * (covs + centered[:, :, None] * centered[:, None, :]),
+            self.cross, rows, weights * (covs + centered[:, iu] * centered[:, ju])
         )
         self.rows = rows + k
 
@@ -291,8 +303,8 @@ class PrefixAggregates:
         """Centered range aggregates ``(T, s1, s2)`` over windows ``[lo, hi)``.
 
         The cross-moment difference is intentionally not materialized here —
-        :func:`combine_matrix_prefix` takes the full ``(n, n)`` slice,
-        :func:`combine_row_prefix` only one row of it.
+        :func:`combine_matrix_prefix` takes the full packed row,
+        :func:`combine_row_prefix` only one series' ``n`` entries of it.
         """
         self._check_range(lo, hi)
         total = float(self.count[hi] - self.count[lo])
@@ -342,7 +354,7 @@ def build_prefix_aggregates(
     if offsets.shape != (n,):
         raise SketchError(f"offsets shape {offsets.shape} != ({n},)")
     aggregates = PrefixAggregates.allocate(offsets, ns)
-    aggregates.extend(means, stds, covs, sizes)
+    aggregates.extend(means, stds, pack_symmetric(covs), sizes)
     return aggregates
 
 
@@ -436,9 +448,10 @@ def combine_matrix_prefix(
         columns of (effectively) constant series are zero off-diagonal.
     """
     total, s1, s2, terms = _range_moments(aggregates, lo, hi, fragments)
+    n = aggregates.n_series
     mu = s1 / total
     scale = _pooled_scales(total, mu, s2, aggregates.second[hi])
-    cross = aggregates.cross[hi] - aggregates.cross[lo]
+    cross = unpack_symmetric(aggregates.cross[hi] - aggregates.cross[lo], n)
     for weight, delta, cov in terms:
         cross += weight * (cov + np.outer(delta, delta))
     numer = cross - total * np.outer(mu, mu)
@@ -479,7 +492,8 @@ def combine_row_prefix(
     total, s1, s2, terms = _range_moments(aggregates, lo, hi, fragments)
     mu = s1 / total
     scale = _pooled_scales(total, mu, s2, aggregates.second[hi])
-    cross = aggregates.cross[hi, row] - aggregates.cross[lo, row]
+    positions = packed_index(n)[2][row]
+    cross = aggregates.cross[hi, positions] - aggregates.cross[lo, positions]
     for weight, delta, cov in terms:
         cross += weight * (cov[row] + delta[row] * delta)
     numer = cross - total * mu[row] * mu

@@ -54,6 +54,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.packing import pack_symmetric, packed_index, unpack_symmetric
 from repro.core.segmentation import BasicWindowPlan
 from repro.core.sketch import Sketch
 from repro.core.stats import series_window_stats
@@ -179,7 +180,9 @@ class SketchProvider(abc.ABC):
         The single-pass feed for
         :func:`~repro.core.lemma1.combine_matrix_chunked`: backends that pay
         per-record I/O (stores) override this to deliver each window record
-        exactly once.
+        exactly once. Covariances come as packed upper-triangle rows
+        (:func:`~repro.core.packing.pack_symmetric`), C-contiguous, for
+        every backend — the one chunk layout the kernel reduces on.
 
         Args:
             indices: Basic window indices, in query order.
@@ -187,8 +190,8 @@ class SketchProvider(abc.ABC):
 
         Yields:
             ``(means, stds, sizes, covs)`` tuples of shapes ``(n, k')``,
-            ``(n, k')``, ``(k',)``, ``(k', n, n)``, concatenating in
-            ``indices`` order to the full selection.
+            ``(n, k')``, ``(k',)``, ``(k', P)`` with ``P = n (n + 1) / 2``,
+            concatenating in ``indices`` order to the full selection.
         """
         indices = self._check_indices(indices)
         if chunk_windows <= 0:
@@ -196,7 +199,7 @@ class SketchProvider(abc.ABC):
         for start in range(0, indices.size, chunk_windows):
             chunk_idx = indices[start : start + chunk_windows]
             means, stds, sizes = self.window_stats(chunk_idx)
-            yield means, stds, sizes, self.covs(chunk_idx)
+            yield means, stds, sizes, pack_symmetric(self.covs(chunk_idx))
 
     def covs(self, indices: np.ndarray) -> np.ndarray:
         """Full ``(k, n, n)`` covariance tensor of the selected windows."""
@@ -303,7 +306,7 @@ class SketchProvider(abc.ABC):
             means = np.concatenate([p[0] for p in parts], axis=1)
             stds = np.concatenate([p[1] for p in parts], axis=1)
             sizes = np.concatenate([p[2] for p in parts])
-            covs = np.concatenate([p[3] for p in parts], axis=0)
+            covs = unpack_symmetric(np.concatenate([p[3] for p in parts]), n)
         return Sketch(
             names=list(self.names),
             window_size=self.window_size,
@@ -388,6 +391,9 @@ class InMemoryProvider(SketchProvider):
             raise SketchError("chunk_windows must be positive")
         for start in range(0, idx.size, chunk_windows):
             yield self._sketch.covs[idx[start : start + chunk_windows]]
+
+    def covs(self, indices):
+        return self._sketch.covs[self._check_indices(indices)]
 
     def cov_rows(self, indices, rows):
         idx = self._check_indices(indices)
@@ -603,7 +609,7 @@ class StoreProvider(SketchProvider):
                 stds[:, k] = record.stds
                 sizes[k] = record.size
                 covs[k] = record.pairs
-            yield means, stds, sizes, covs
+            yield means, stds, sizes, pack_symmetric(covs)
 
     def cov_rows(self, indices, rows):
         indices = self._check_indices(indices)
@@ -654,11 +660,14 @@ def _prefix_bounds(selection) -> tuple[int, int] | None:
 class MmapProvider(SketchProvider):
     """Zero-copy provider over an :class:`~repro.storage.mmap_store.MmapStore`.
 
-    Window statistics and covariance chunks come back as slices of the
-    store's read-only memory-mapped arrays: contiguous window selections
-    (every aligned query) involve **no per-record deserialization and no
-    copies** — the Lemma 1 kernels consume the mapped pages directly.
-    Non-contiguous selections fall back to (vectorized) fancy indexing.
+    Window statistics and packed covariance chunks
+    (:meth:`iter_window_chunks`) come back as slices of the store's read-only
+    memory-mapped arrays: contiguous window selections (every aligned query)
+    involve **no per-record deserialization and no copies** — the Lemma 1
+    kernel reduces the mapped packed rows directly. Non-contiguous selections
+    fall back to (vectorized) fancy indexing. :meth:`covs` and
+    :meth:`cov_rows` (row blocks, Lemma 2 seeding) unpack the rows they
+    return to ``n x n``.
 
     Stores whose directory carries persisted ``prefix_*`` tables (written by
     :meth:`~repro.storage.mmap_store.MmapStore.build_prefix`) additionally
@@ -799,12 +808,27 @@ class MmapProvider(SketchProvider):
             means, stds, sizes = self._means[idx].T, self._stds[idx].T, self._sizes[idx]
         return means, stds, sizes.astype(np.float64)
 
-    def covs(self, indices):
+    def _packed_covs(self, indices: np.ndarray) -> np.ndarray:
+        """Packed ``(k, P)`` pair rows: a mapped view for contiguous runs."""
         idx = self._check_indices(indices)
         sl = _contiguous_slice(idx)
         if sl is not None:
             return self._pairs[sl]
         return self._pairs[idx]
+
+    def iter_window_chunks(self, indices, chunk_windows):
+        # The stored packed rows already are the chunk layout: contiguous
+        # runs stream to the kernel as zero-copy views of the mapping.
+        idx = self._check_indices(indices)
+        if chunk_windows <= 0:
+            raise SketchError("chunk_windows must be positive")
+        for start in range(0, idx.size, chunk_windows):
+            chunk_idx = idx[start : start + chunk_windows]
+            means, stds, sizes = self.window_stats(chunk_idx)
+            yield means, stds, sizes, self._packed_covs(chunk_idx)
+
+    def covs(self, indices):
+        return unpack_symmetric(self._packed_covs(indices), self.n_series)
 
     def iter_cov_chunks(self, indices, chunk_windows):
         idx = self._check_indices(indices)
@@ -814,11 +838,11 @@ class MmapProvider(SketchProvider):
             yield self.covs(idx[start : start + chunk_windows])
 
     def cov_rows(self, indices, rows):
-        idx = self._check_indices(indices)
         rows = np.asarray(rows, dtype=np.int64)
-        # Row selection necessarily gathers, but it only reads the pages of
-        # the selected rows — a partition's worker never touches the rest.
-        return self.covs(idx)[:, rows, :]
+        # Row selection gathers through the packed index map, reading only
+        # the requested rows' pairs — a partition's worker never unpacks
+        # the rest.
+        return self._packed_covs(indices)[:, packed_index(self.n_series)[2][rows]]
 
     def fragment(self, start, stop):
         if self._data is None:
@@ -1032,7 +1056,6 @@ class PrefixProvider(SketchProvider):
             raise SketchError("chunk_windows must be positive")
         self._base = base
         self._chunk_windows = chunk_windows
-        self._stats: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._aggregates = None
         persisted = getattr(base, "persisted_prefix", None)
         if callable(persisted):
@@ -1128,27 +1151,18 @@ class PrefixProvider(SketchProvider):
         if aggregates is None:
             n_windows = self._base.n_windows
             indices = np.arange(n_windows, dtype=np.int64)
-            means, stds, sizes = self._base.window_stats(indices)
+            means, _, sizes = self._base.window_stats(indices)
             means = np.ascontiguousarray(means, dtype=np.float64)
-            stds = np.ascontiguousarray(stds, dtype=np.float64)
             sizes = np.asarray(sizes, dtype=np.float64)
-            self._stats = (means, stds, sizes)
             offsets = means @ sizes / float(sizes.sum())
             aggregates = PrefixAggregates.allocate(offsets, n_windows)
             self._aggregates = aggregates
-        while aggregates.covered < hi:
-            start = aggregates.covered
-            stop = min(start + self._chunk_windows, hi)
-            means, stds, sizes = self._stats
-            covs = self._base.covs(np.arange(start, stop, dtype=np.int64))
-            aggregates.extend(
-                means[:, start:stop], stds[:, start:stop], covs,
-                sizes[start:stop],
-            )
-        if aggregates.covered >= self._base.n_windows:
-            # Fully built: the cached O(n * ns) statistics copies exist only
-            # to feed further extensions, so release them.
-            self._stats = None
+        if aggregates.covered < hi:
+            pending = np.arange(aggregates.covered, hi, dtype=np.int64)
+            for means, stds, sizes, covs in self._base.iter_window_chunks(
+                pending, self._chunk_windows
+            ):
+                aggregates.extend(means, stds, covs, sizes)
         return aggregates
 
     def prefix_range(self, selection):

@@ -20,7 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["StoreMetadata", "WindowRecord", "SketchStore"]
+from repro.core.packing import is_symmetric
+from repro.exceptions import StorageError
+
+__all__ = [
+    "StoreMetadata",
+    "WindowRecord",
+    "SketchStore",
+    "require_symmetric_pairs",
+]
 
 
 @dataclass(frozen=True)
@@ -48,8 +56,10 @@ class WindowRecord:
         index: Basic window index (position in the stream).
         means: Per-series means, shape ``(n,)``.
         stds: Per-series population stds, shape ``(n,)``.
-        pairs: All-pair matrix, shape ``(n, n)`` — covariances for exact
-            sketches, squared DFT coefficient distances for approx sketches.
+        pairs: Symmetric all-pair matrix, shape ``(n, n)`` — covariances
+            for exact sketches, squared DFT coefficient distances for approx
+            sketches. Persistent stores keep only its upper triangle and
+            refuse a matrix that is not exactly symmetric.
         size: Number of points in the window.
     """
 
@@ -58,6 +68,20 @@ class WindowRecord:
     stds: np.ndarray
     pairs: np.ndarray
     size: int
+
+
+def require_symmetric_pairs(record: WindowRecord) -> None:
+    """Refuse a record whose ``pairs`` matrix is not exactly symmetric.
+
+    Persistent stores keep only the upper triangle, so an asymmetric matrix
+    would lose its lower triangle silently; they call this for every record
+    of a batch before writing any byte of it.
+    """
+    if not is_symmetric(record.pairs):
+        raise StorageError(
+            f"window record {record.index} pairs matrix is not symmetric; "
+            "the store keeps only its upper triangle"
+        )
 
 
 class SketchStore(abc.ABC):

@@ -1,28 +1,36 @@
 """Zero-copy memory-mapped sketch store (the disk deployment's fast path).
 
 The SQLite store pays a per-record cost at read time: every window record is
-``SELECT``-ed, its blobs are copied out of the database pages, and the packed
-upper-triangle pair matrix is re-inflated into a fresh ``(n, n)`` array. For
-a read-mostly sketch (the paper's historical deployment: write once at
+``SELECT``-ed and its blobs are copied out of the database pages. For a
+read-mostly sketch (the paper's historical deployment: write once at
 ingestion, query forever) none of that work is necessary — the sketch is just
 four fixed-shape numeric arrays.
 
 :class:`MmapStore` therefore lays the window records out as contiguous
-little-endian arrays in a directory::
+little-endian arrays in a directory (``P = n (n + 1) / 2``)::
 
     meta.json     -- JSON sidecar: layout version, n_series, collection meta
     means.f64     -- float64, shape (n_windows, n)
     stds.f64      -- float64, shape (n_windows, n)
-    pairs.f64     -- float64, shape (n_windows, n, n)
+    pairs.f64     -- float64, shape (n_windows, P)  (packed upper triangles)
     sizes.i64     -- int64,   shape (n_windows,)   (0 marks an unwritten slot)
 
-Reads are served straight from read-only ``numpy.memmap`` views: no SQL, no
-blob copies, no per-record deserialization — the OS page cache is the read
+Each symmetric pair matrix is stored once, as its packed upper triangle
+(:mod:`repro.core.packing`) — the paper's one statistic per pair. Reads are
+served straight from read-only ``numpy.memmap`` views: no SQL, no blob
+copies, no per-record deserialization — the OS page cache is the read
 buffer, and a query touches exactly the bytes it consumes. The dedicated
-:class:`~repro.engine.providers.MmapProvider` slices these arrays directly
-into the Lemma 1 kernels; :class:`MmapStore` also implements the full
-:class:`~repro.storage.base.SketchStore` contract so every generic code path
-(``save_sketch``, ``StoreProvider``, ``tsubasa convert``) runs unchanged.
+:class:`~repro.engine.providers.MmapProvider` slices the packed rows directly
+into the Lemma 1 kernels, which reduce on packed rows and unpack each answer
+once; :class:`MmapStore` also implements the full
+:class:`~repro.storage.base.SketchStore` contract (unpacking ``pairs`` per
+record) so every generic code path (``save_sketch``, ``StoreProvider``,
+``tsubasa convert``) runs unchanged.
+
+Layout version 2 introduced the packed tables. Version-1 stores (full
+``n x n`` tables) are refused at open; rebuild them from raw data with
+``tsubasa sketch ... --store-backend mmap --prefix``, or from a SQLite copy
+with ``tsubasa convert``.
 """
 
 from __future__ import annotations
@@ -35,15 +43,21 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.packing import pack_symmetric, packed_size, unpack_symmetric
 from repro.exceptions import StorageError
-from repro.storage.base import SketchStore, StoreMetadata, WindowRecord
+from repro.storage.base import (
+    SketchStore,
+    StoreMetadata,
+    WindowRecord,
+    require_symmetric_pairs,
+)
 
 if TYPE_CHECKING:
     from repro.core.prefix import PrefixAggregates
 
 __all__ = ["MmapStore", "is_mmap_store"]
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 _META_FILE = "meta.json"
 _ARRAY_FILES = {
     "means": "means.f64",
@@ -149,6 +163,16 @@ class MmapStore(SketchStore):
             raise StorageError(
                 f"cannot read mmap store metadata in {self._dir}: {exc}"
             ) from exc
+        if payload.get("version") == 1:
+            raise StorageError(
+                f"{self._dir} is a version-1 mmap store (full n x n pair "
+                f"tables); this release reads only version {_FORMAT_VERSION} "
+                "(packed upper triangles) and keeps no version-1 reader. "
+                "Rebuild it from raw data with `tsubasa sketch --data ... "
+                "--store-backend mmap --prefix`, or from a SQLite copy of the "
+                "sketch with `tsubasa convert --src COPY.db --dst NEW_DIR "
+                "--dst-backend mmap --prefix`"
+            )
         if payload.get("version") != _FORMAT_VERSION:
             raise StorageError(
                 f"unsupported mmap store version {payload.get('version')!r} "
@@ -357,7 +381,7 @@ class MmapStore(SketchStore):
         return {
             "means": (capacity, n),
             "stds": (capacity, n),
-            "pairs": (capacity, n, n),
+            "pairs": (capacity, packed_size(n)),
             "sizes": (capacity,),
         }
 
@@ -436,8 +460,10 @@ class MmapStore(SketchStore):
 
         Returns:
             ``(means, stds, pairs, sizes)`` of shapes ``(nw, n)``,
-            ``(nw, n)``, ``(nw, n, n)``, ``(nw,)`` — the zero-copy substrate
+            ``(nw, n)``, ``(nw, P)``, ``(nw,)`` — the zero-copy substrate
             :class:`~repro.engine.providers.MmapProvider` slices from.
+            ``pairs`` holds each window's packed upper triangle
+            (:func:`~repro.core.packing.packed_index`).
         """
         maps = self._readable()
         return maps["means"], maps["stds"], maps["pairs"], maps["sizes"]
@@ -462,7 +488,7 @@ class MmapStore(SketchStore):
             "prefix_count": (capacity + 1,),
             "prefix_first": (capacity + 1, n),
             "prefix_second": (capacity + 1, n),
-            "prefix_cross": (capacity + 1, n, n),
+            "prefix_cross": (capacity + 1, packed_size(n)),
         }
 
     def build_prefix(self, chunk_windows: int = 256) -> int:
@@ -545,7 +571,7 @@ class MmapStore(SketchStore):
             aggregates.extend(
                 np.asarray(maps["means"][start:stop]).T,
                 np.asarray(maps["stds"][start:stop]).T,
-                np.asarray(maps["pairs"][start:stop]),
+                maps["pairs"][start:stop],
                 np.asarray(sizes[start:stop], dtype=np.float64),
             )
         tables["prefix_offsets"].flush()
@@ -578,6 +604,7 @@ class MmapStore(SketchStore):
         if rows < 2 or self._n is None:
             return None
         n = self._n
+        width = packed_size(n)
         flats: dict[str, np.ndarray] = {}
         for name, file_path in self._prefix_files.items():
             try:
@@ -603,7 +630,7 @@ class MmapStore(SketchStore):
             offsets.size != n
             or first.size % n
             or second.size % n
-            or cross.size % (n * n)
+            or cross.size % width
         ):
             raise StorageError(
                 f"prefix tables in {self._dir} do not match {n} series"
@@ -612,7 +639,7 @@ class MmapStore(SketchStore):
             flats["prefix_count"].size,
             first.size // n,
             second.size // n,
-            cross.size // (n * n),
+            cross.size // width,
         )
         if aggregates_rows < rows:
             raise StorageError(
@@ -627,7 +654,7 @@ class MmapStore(SketchStore):
             count=flats["prefix_count"][:aggregates_rows],
             first=first.reshape(-1, n)[:aggregates_rows],
             second=second.reshape(-1, n)[:aggregates_rows],
-            cross=cross.reshape(-1, n, n)[:aggregates_rows],
+            cross=cross.reshape(-1, width)[:aggregates_rows],
             rows=rows,
         )
 
@@ -768,6 +795,7 @@ class MmapStore(SketchStore):
                     f"window record {record.index} pairs shape "
                     f"{np.asarray(record.pairs).shape} != ({n}, {n})"
                 )
+            require_symmetric_pairs(record)
             if record.index < 0:
                 raise StorageError(f"negative window index {record.index}")
             if record.size <= 0:
@@ -790,7 +818,7 @@ class MmapStore(SketchStore):
             j = record.index
             maps["means"][j] = record.means
             maps["stds"][j] = record.stds
-            maps["pairs"][j] = np.asarray(record.pairs, dtype=np.float64)
+            maps["pairs"][j] = pack_symmetric(record.pairs)
         # Commit sizes last, behind an msync barrier: the data pages reach
         # the file before any nonzero size does, so a crash — process or
         # system — leaves a half-written record with sizes[j] == 0, which
@@ -825,6 +853,12 @@ class MmapStore(SketchStore):
             raw.flush(start, stop - start)
 
     def read_windows(self, indices: list[int]) -> list[WindowRecord]:
+        """Records of ``indices``, in order.
+
+        ``means`` and ``stds`` are read-only views over the mapping;
+        ``pairs`` is a fresh ``(n, n)`` matrix unpacked from the stored
+        upper triangle (the zero-copy packed rows are :meth:`arrays`).
+        """
         capacity = self._capacity()
         if capacity == 0:
             raise StorageError(
@@ -832,6 +866,7 @@ class MmapStore(SketchStore):
             )
         maps = self._readable()
         sizes = maps["sizes"]
+        n = maps["means"].shape[1]
         records: list[WindowRecord] = []
         for index in indices:
             i = int(index)
@@ -842,7 +877,7 @@ class MmapStore(SketchStore):
                     index=i,
                     means=maps["means"][i],
                     stds=maps["stds"][i],
-                    pairs=maps["pairs"][i],
+                    pairs=unpack_symmetric(maps["pairs"][i], n),
                     size=int(sizes[i]),
                 )
             )
@@ -856,8 +891,9 @@ class MmapStore(SketchStore):
         Materializes (copies) the requested records between two
         :meth:`read_generation` samples and retries while a commit is in
         progress (odd generation) or landed mid-read (samples differ).
-        The copies matter: plain ``read_windows`` returns zero-copy mmap
-        views, which stay live — and tearable — after validation.
+        The copies matter: plain ``read_windows`` returns ``means`` and
+        ``stds`` as zero-copy mmap views, which stay live — and tearable —
+        after validation (``pairs`` is already unpacked into a fresh array).
 
         Args:
             indices: Window indices to read.
@@ -884,7 +920,7 @@ class MmapStore(SketchStore):
                         index=record.index,
                         means=np.array(record.means, copy=True),
                         stds=np.array(record.stds, copy=True),
-                        pairs=np.array(record.pairs, copy=True),
+                        pairs=record.pairs,
                         size=record.size,
                     )
                     for record in self.read_windows(indices)

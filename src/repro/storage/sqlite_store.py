@@ -27,8 +27,14 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.packing import pack_symmetric, packed_size, unpack_symmetric
 from repro.exceptions import StorageError
-from repro.storage.base import SketchStore, StoreMetadata, WindowRecord
+from repro.storage.base import (
+    SketchStore,
+    StoreMetadata,
+    WindowRecord,
+    require_symmetric_pairs,
+)
 
 __all__ = ["SqliteSketchStore"]
 
@@ -39,9 +45,9 @@ __all__ = ["SqliteSketchStore"]
 _IN_CLAUSE_LIMIT = 500
 
 
-def _pack_symmetric(matrix: np.ndarray) -> bytes:
-    n = matrix.shape[0]
-    return np.ascontiguousarray(matrix[np.triu_indices(n)], dtype="<f8").tobytes()
+def _pack_symmetric(record: WindowRecord) -> bytes:
+    require_symmetric_pairs(record)
+    return pack_symmetric(record.pairs).astype("<f8", copy=False).tobytes()
 
 
 def _unpack_symmetric(blob: bytes, n: int) -> np.ndarray:
@@ -51,16 +57,12 @@ def _unpack_symmetric(blob: bytes, n: int) -> np.ndarray:
             "float64 values"
         )
     flat = np.frombuffer(blob, dtype="<f8")
-    expected = n * (n + 1) // 2
+    expected = packed_size(n)
     if flat.size != expected:
         raise StorageError(
             f"corrupt pair blob: {flat.size} values, expected {expected}"
         )
-    matrix = np.zeros((n, n))
-    upper = np.triu_indices(n)
-    matrix[upper] = flat
-    matrix.T[upper] = flat
-    return matrix
+    return unpack_symmetric(flat, n)
 
 
 class SqliteSketchStore(SketchStore):
@@ -139,7 +141,7 @@ class SqliteSketchStore(SketchStore):
                 record.size,
                 np.ascontiguousarray(record.means, dtype="<f8").tobytes(),
                 np.ascontiguousarray(record.stds, dtype="<f8").tobytes(),
-                _pack_symmetric(np.asarray(record.pairs, dtype=np.float64)),
+                _pack_symmetric(record),
             )
             for record in records
         ]

@@ -10,6 +10,7 @@ from repro.api.spec import QuerySpec, WindowSpec
 from repro.core.exact import TsubasaHistorical
 from repro.core.lemma1 import combine_matrix, combine_row
 from repro.core.matrix import threshold_adjacency
+from repro.core.packing import pack_symmetric
 from repro.core.prefix import (
     PREFIX_ATOL,
     PrefixAggregates,
@@ -118,7 +119,7 @@ class TestKernel:
             chunked.extend(
                 sketch.means[:, start:stop],
                 sketch.stds[:, start:stop],
-                sketch.covs[start:stop],
+                pack_symmetric(sketch.covs[start:stop]),
                 sketch.sizes[start:stop].astype(np.float64),
             )
         assert chunked.rows == full.rows == sketch.n_windows + 1
@@ -145,14 +146,14 @@ class TestKernel:
             aggregates.extend(
                 sketch.means[:, :11],
                 sketch.stds[:, :11],
-                sketch.covs[:11],
+                pack_symmetric(sketch.covs[:11]),
                 sketch.sizes[:11].astype(np.float64),
             )
         with pytest.raises(SketchError):
             aggregates.extend(
                 sketch.means[:, :4],
                 sketch.stds[:, :4],
-                sketch.covs[:3],
+                pack_symmetric(sketch.covs[:3]),
                 sketch.sizes[:4].astype(np.float64),
             )
 
@@ -166,7 +167,7 @@ class TestKernel:
             aggregates.extend(
                 sketch.means[:, :1],
                 sketch.stds[:, :1],
-                sketch.covs[:1],
+                pack_symmetric(sketch.covs[:1]),
                 sketch.sizes[:1].astype(np.float64),
             )
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.exact import TsubasaHistorical
+from repro.core.packing import pack_symmetric
 from repro.core.realtime import TsubasaRealtime
 from repro.core.sketch import build_sketch
 from repro.engine.providers import (
@@ -325,22 +326,29 @@ class TestMmapProvider:
 
     def test_contiguous_selection_is_zero_copy(self, mmap_dir):
         provider = MmapProvider(mmap_dir)
-        covs = provider.covs(np.arange(3, 9))
-        # A contiguous selection is a view over the mapping: no copy at all.
+        (_, _, _, covs), = provider.iter_window_chunks(
+            np.arange(3, 9), chunk_windows=6
+        )
+        # A contiguous selection's packed rows are a view over the mapping:
+        # no copy at all.
+        assert covs.shape == (6, 20 * 21 // 2)
         assert not covs.flags.owndata
         assert not covs.flags.writeable
-        assert np.shares_memory(covs, provider.covs(np.arange(12)))
+        assert np.shares_memory(covs, provider.store.arrays()[2])
         means, stds, _ = provider.window_stats(np.arange(3, 9))
         assert not means.flags.owndata
         assert not stds.flags.owndata
 
-    def test_chunks_share_store_memory(self, mmap_dir):
+    def test_chunks_share_store_memory(self, mmap_dir, small_sketch):
         provider = MmapProvider(mmap_dir)
-        chunks = list(provider.iter_cov_chunks(np.arange(12), chunk_windows=5))
-        assert [c.shape[0] for c in chunks] == [5, 5, 2]
-        full = provider.covs(np.arange(12))
-        for chunk in chunks:
-            assert np.shares_memory(chunk, full)
+        chunks = list(provider.iter_window_chunks(np.arange(12), chunk_windows=5))
+        assert [c[3].shape[0] for c in chunks] == [5, 5, 2]
+        pairs = provider.store.arrays()[2]
+        for start, (_, _, _, covs) in zip((0, 5, 10), chunks):
+            assert np.shares_memory(covs, pairs)
+            np.testing.assert_array_equal(
+                covs, pack_symmetric(small_sketch.covs[start : start + 5])
+            )
 
     def test_non_contiguous_selection(self, mmap_dir, small_sketch):
         provider = MmapProvider(mmap_dir)
@@ -458,6 +466,30 @@ class TestProvidersBitIdentical:
         ).correlation_matrix(query).values
         np.testing.assert_array_equal(via_sqlite, reference)
         np.testing.assert_array_equal(via_mmap, reference)
+
+
+class TestPackedChunkContract:
+    """Every backend feeds the direct kernel the same packed, C-ordered rows."""
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite", "mmap", "chunked"])
+    @pytest.mark.parametrize("indices", [np.arange(2, 9), np.array([9, 1, 4])])
+    def test_chunks_are_packed_c_contiguous(
+        self, backend, indices, small_sketch, small_matrix, sqlite_store, mmap_dir
+    ):
+        provider = {
+            "memory": lambda: InMemoryProvider(small_sketch),
+            "sqlite": lambda: StoreProvider(sqlite_store),
+            "mmap": lambda: MmapProvider(mmap_dir),
+            "chunked": lambda: ChunkedBuildProvider(small_matrix, 50),
+        }[backend]()
+        chunks = list(provider.iter_window_chunks(indices, chunk_windows=3))
+        for offset, (_, _, _, covs) in zip(range(0, indices.size, 3), chunks):
+            # Fancy-indexed packing comes back Fortran-ordered, and BLAS
+            # sums that layout in another order: the contract is C order.
+            assert covs.flags.c_contiguous
+            np.testing.assert_array_equal(
+                covs, pack_symmetric(provider.covs(indices[offset : offset + 3]))
+            )
 
 
 class TestChunkedBuildProvider:

@@ -170,6 +170,16 @@ class TestSqliteSpecifics:
             np.testing.assert_allclose(loaded.pairs, loaded.pairs.T)
             np.testing.assert_allclose(loaded.pairs, record.pairs)
 
+    def test_rejects_asymmetric_pairs(self, tmp_path):
+        asymmetric = _record(2)
+        asymmetric.pairs[0, 3] = np.nextafter(asymmetric.pairs[0, 3], np.inf)
+        with SqliteSketchStore(tmp_path / "sym.db") as store:
+            store.write_windows([_record(0)])
+            with pytest.raises(StorageError, match="not symmetric"):
+                store.write_windows([_record(1), asymmetric])
+            # The batch is refused whole: no record of it was written.
+            assert store.window_count() == 1
+
 
 class TestSketchSerialization:
     def test_exact_roundtrip(self, small_matrix, tmp_path):

@@ -535,6 +535,73 @@ def test_tsu007_suppression_with_reason(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# TSU008 — symmetric packing lives in repro/core/packing.py
+
+
+def test_tsu008_flags_diagonal_packing(tmp_path):
+    write_tree(
+        tmp_path,
+        {
+            "src/repro/storage/blobs.py": """\
+            import numpy as np
+            from numpy import tril_indices
+
+            def pack(matrix):
+                n = matrix.shape[0]
+                upper = matrix[np.triu_indices(n)]
+                lower = matrix[tril_indices(n, 0)]
+                return upper, lower, np.triu_indices(n, k=0)
+            """
+        },
+    )
+    diagnostics = run(tmp_path, select={"TSU008"})
+    assert codes(diagnostics) == ["TSU008"] * 3
+    assert [d.line for d in diagnostics] == [6, 7, 8]
+    assert "packed_index" in diagnostics[0].message
+
+
+def test_tsu008_pair_enumeration_and_helper_module_pass(tmp_path):
+    write_tree(
+        tmp_path,
+        {
+            "src/repro/core/queries.py": """\
+            import numpy as np
+
+            def pairs(n):
+                return np.triu_indices(n, k=1), np.triu_indices(n, 1)
+            """,
+            "src/repro/core/packing.py": """\
+            import numpy as np
+
+            def packed_index(n):
+                return np.triu_indices(n)
+            """,
+            "tests/test_blobs.py": """\
+            import numpy as np
+
+            upper = np.triu_indices(4)
+            """,
+        },
+    )
+    assert run(tmp_path, select={"TSU008"}) == []
+
+
+def test_tsu008_suppression_with_reason(tmp_path):
+    write_tree(
+        tmp_path,
+        {
+            "src/repro/analysis/export.py": """\
+            import numpy as np
+
+            # tsulint: disable=TSU008 -- test fixture
+            upper = np.triu_indices(4)
+            """
+        },
+    )
+    assert run(tmp_path, select={"TSU008"}, require_reasons=True) == []
+
+
+# ---------------------------------------------------------------------------
 # Suppressions
 
 
@@ -628,6 +695,7 @@ def test_rule_registry_is_complete():
         "TSU005",
         "TSU006",
         "TSU007",
+        "TSU008",
     ]
     for rule in RULES:
         assert rule.description

@@ -40,6 +40,12 @@ TSU007    No ``from repro.<module> import _private`` in ``src/repro/``.
           A leading underscore says "only this module relies on it"; a
           helper another module needs gets a public name, so a rename
           cannot silently break the importer.
+TSU008    No diagonal-including ``np.triu_indices(n)`` (or
+          ``tril_indices``) packing in ``src/repro/`` outside
+          ``repro/core/packing.py``. Symmetric pair matrices are packed
+          and unpacked through ``packed_index`` alone, so stores and
+          kernels agree on one triangle order; pair enumeration with
+          ``k=1`` stays legal.
 ========  ==============================================================
 
 Suppress a finding with a justified trailing comment::
@@ -623,6 +629,48 @@ class PrivateImport(Rule):
                     )
 
 
+class TrianglePacking(Rule):
+    """TSU008: symmetric packing lives in one module."""
+
+    code = "TSU008"
+    name = "triangle-packing"
+    description = (
+        "no diagonal-including np.triu_indices/tril_indices packing in "
+        "src/repro outside repro/core/packing.py; use packed_index"
+    )
+
+    _FUNCTIONS = frozenset({"triu_indices", "tril_indices"})
+
+    def applies_to(self, path: str) -> bool:
+        return _in_library(path) and not path.endswith("repro/core/packing.py")
+
+    @staticmethod
+    def _includes_diagonal(call: ast.Call) -> bool:
+        """Whether the call's ``k`` offset is absent or a literal 0."""
+        offset: ast.AST | None = call.args[1] if len(call.args) > 1 else None
+        for keyword in call.keywords:
+            if keyword.arg == "k":
+                offset = keyword.value
+        return offset is None or (
+            isinstance(offset, ast.Constant) and offset.value == 0
+        )
+
+    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
+        for node in ast.walk(ctx.tree):
+            if (
+                isinstance(node, ast.Call)
+                and terminal_name(node.func) in self._FUNCTIONS
+                and self._includes_diagonal(node)
+            ):
+                yield self.diag(
+                    ctx.path,
+                    node,
+                    f"{terminal_name(node.func)} with the diagonal packs a "
+                    "symmetric matrix outside repro.core.packing; use "
+                    "packed_index/pack_symmetric/unpack_symmetric",
+                )
+
+
 #: Registered rules, in code order. The CLI and the test suite iterate this.
 RULES: tuple[Rule, ...] = (
     BlockingCallInAsync(),
@@ -632,6 +680,7 @@ RULES: tuple[Rule, ...] = (
     FrombufferGuard(),
     SpecFieldDrift(),
     PrivateImport(),
+    TrianglePacking(),
 )
 
 
