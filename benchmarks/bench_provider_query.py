@@ -1,28 +1,25 @@
-"""Provider benchmark: in-memory vs store-backed (cold/warm) query latency.
+"""Provider benchmark: in-memory vs memory-mapped (cold/warm) query latency.
 
 Times the same Lemma 1 all-pairs query through each sketch backend:
 
 * ``memory`` — :class:`~repro.engine.providers.InMemoryProvider` over a fully
   materialized sketch (the paper's in-memory configuration);
-* ``store_cold`` — :class:`~repro.engine.providers.StoreProvider` over a
-  SQLite store with an empty LRU cache (every window record read from disk);
-* ``store_warm`` — the same provider immediately re-queried, so the LRU
-  serves the window records;
 * ``mmap_cold`` — a fresh :class:`~repro.engine.providers.MmapProvider` per
   repeat (re-maps the store's arrays, then reads zero-copy);
 * ``mmap_warm`` — the same provider re-queried over already-mapped pages;
 * ``chunked_build`` — :class:`~repro.engine.providers.ChunkedBuildProvider`
   computing window covariances on demand from raw data;
 * ``parallel_*`` — :func:`~repro.parallel.executor.parallel_query` fan-out
-  over each backend (shared-memory shipping for in-memory sketches, path
-  handoff for SQLite and mmap stores);
+  (shared-memory shipping for in-memory sketches, path handoff for mmap
+  stores, and ``store_path=`` handoff for a SQLite store — Fig. 6b's
+  disk-based mode);
 * ``convert_*`` — the sketch→store conversion cost per backend (the §3.4
   ingestion-side write path).
 
 Beyond the per-query rows, three system-level axes are recorded:
 
 * ``scale`` — the same aligned query at n_stations 60 → 500 (records grow
-  quadratically), tracking the mmap-vs-SQLite crossover as collections grow;
+  quadratically), cold mmap against the in-memory sketch;
 * ``ns_scale`` — the same full-range query at 1k → 50k basic *windows*:
   ``direct`` streams the whole selection through the Lemma 1 kernel
   (O(ns * n^2)), ``prefix_cold`` / ``prefix_warm`` answer from the store's
@@ -70,11 +67,10 @@ from repro.engine.providers import (
     ChunkedBuildProvider,
     InMemoryProvider,
     MmapProvider,
-    StoreProvider,
 )
 from repro.parallel.executor import parallel_query
 from repro.storage.mmap_store import MmapStore
-from repro.storage.serialize import save_sketch
+from repro.storage.serialize import load_sketch, save_sketch
 from repro.storage.sqlite_store import SqliteSketchStore
 
 N_STATIONS = 60
@@ -157,6 +153,12 @@ def run(store_dir: Path) -> dict:
         provider=InMemoryProvider(sketch, data=data)
     )
     reference = memory_engine.correlation_matrix(QUERY).values
+    # SQLite is the interchange format: a loaded copy answers bit-identically.
+    with SqliteSketchStore(store_path) as store:
+        loaded = TsubasaHistorical(provider=InMemoryProvider(load_sketch(store)))
+    np.testing.assert_array_equal(
+        loaded.correlation_matrix(QUERY).values, reference
+    )
     record(
         "memory", _best_of(lambda: memory_engine.correlation_matrix(QUERY)), QUERY
     )
@@ -165,38 +167,6 @@ def run(store_dir: Path) -> dict:
         _best_of(lambda: memory_engine.correlation_matrix(ARBITRARY_QUERY)),
         ARBITRARY_QUERY,
     )
-
-    # Store-backed: cold means a fresh provider (empty cache) per repeat.
-    with SqliteSketchStore(store_path) as store:
-
-        def cold_query():
-            provider = StoreProvider(store, cache_windows=64)
-            return provider, TsubasaHistorical(provider=provider).correlation_matrix(QUERY)
-
-        t_cold = _best_of(lambda: cold_query()[1])
-        provider, matrix = cold_query()
-        np.testing.assert_array_equal(matrix.values, reference)
-        record(
-            "store_cold", t_cold, QUERY, {"windows_read": provider.windows_read}
-        )
-
-        warm_engine = TsubasaHistorical(provider=provider)
-        t_warm = _best_of(lambda: warm_engine.correlation_matrix(QUERY))
-        record(
-            "store_warm",
-            t_warm,
-            QUERY,
-            {"cache_hits": provider.cache_hits, "cache_misses": provider.cache_misses},
-        )
-
-        arb_provider = StoreProvider(store, cache_windows=64, data=data)
-        arb_engine = TsubasaHistorical(provider=arb_provider)
-        arb_engine.correlation_matrix(ARBITRARY_QUERY)  # warm the cache
-        record(
-            "store_warm",
-            _best_of(lambda: arb_engine.correlation_matrix(ARBITRARY_QUERY)),
-            ARBITRARY_QUERY,
-        )
 
     # Memory-mapped store: cold re-maps the arrays every repeat, warm reuses
     # the provider (and the already-faulted pages).
@@ -242,19 +212,24 @@ def run(store_dir: Path) -> dict:
         QUERY,
         {"n_workers": PARALLEL_WORKERS},
     )
-    with SqliteSketchStore(store_path) as store:
-        sqlite_provider = StoreProvider(store)
-        record(
-            "parallel_sqlite",
-            _best_of(
-                lambda: parallel_query(
-                    plan_windows, n_workers=PARALLEL_WORKERS, provider=sqlite_provider
-                ),
-                repeats=3,
+    np.testing.assert_allclose(
+        parallel_query(
+            plan_windows, n_workers=PARALLEL_WORKERS, store_path=store_path
+        ).matrix,
+        reference,
+        atol=1e-10,
+    )
+    record(
+        "parallel_sqlite",
+        _best_of(
+            lambda: parallel_query(
+                plan_windows, n_workers=PARALLEL_WORKERS, store_path=store_path
             ),
-            QUERY,
-            {"n_workers": PARALLEL_WORKERS},
-        )
+            repeats=3,
+        ),
+        QUERY,
+        {"n_workers": PARALLEL_WORKERS},
+    )
     record(
         "parallel_mmap",
         _best_of(
@@ -267,11 +242,9 @@ def run(store_dir: Path) -> dict:
         {"n_workers": PARALLEL_WORKERS},
     )
 
-    # Chunked on-demand build (cold per repeat: fresh provider, tiny cache).
+    # Chunked on-demand build (cold per repeat: fresh provider).
     def chunked_query():
-        provider = ChunkedBuildProvider(
-            data, BASIC_WINDOW, chunk_rows=16, cache_windows=4
-        )
+        provider = ChunkedBuildProvider(data, BASIC_WINDOW, chunk_rows=16)
         return TsubasaHistorical(provider=provider).correlation_matrix(QUERY)
 
     np.testing.assert_allclose(chunked_query().values, reference, atol=1e-10)
@@ -310,11 +283,7 @@ def run_scale(store_dir: Path) -> list[dict]:
             n_stations=n_stations, n_points=SCALE_POINTS, seed=42
         )
         sketch = build_sketch(dataset.values, BASIC_WINDOW, names=dataset.names)
-        store_path = store_dir / f"scale_{n_stations}.db"
         mmap_path = store_dir / f"scale_{n_stations}.mm"
-        with SqliteSketchStore(store_path) as store:
-            save_sketch(store, sketch)
-            store_bytes = store.size_bytes()
         with MmapStore(mmap_path) as store:
             save_sketch(store, sketch)
 
@@ -330,17 +299,6 @@ def run_scale(store_dir: Path) -> list[dict]:
             np.testing.assert_array_equal(matrix.values, reference)
             return best
 
-        with SqliteSketchStore(store_path) as store:
-            rows.append({
-                "backend": "store_cold",
-                "n_stations": n_stations,
-                "seconds": timed(
-                    lambda: TsubasaHistorical(
-                        provider=StoreProvider(store, cache_windows=0)
-                    )
-                ),
-                "store_bytes": store_bytes,
-            })
         rows.append({
             "backend": "mmap_cold",
             "n_stations": n_stations,
@@ -489,42 +447,29 @@ def _service_specs() -> list[QuerySpec]:
 
 
 def run_service(store_dir: Path) -> list[dict]:
-    """TsubasaService throughput over one shared provider per backend."""
-    store_path = store_dir / "bench_provider.db"
+    """TsubasaService throughput over one shared mmap provider."""
     mmap_path = store_dir / "bench_provider.mm"
     specs = _service_specs()
     rows: list[dict] = []
+    max_workers = 4  # read-only maps share safely
     for concurrency in SERVICE_CONCURRENCY:
-        for name in ("service_store", "service_mmap"):
-            if name == "service_store":
-                store = SqliteSketchStore(store_path)
-                client = TsubasaClient(provider=StoreProvider(store))
-                max_workers = 1  # sqlite handles are not thread-safe
-            else:
-                store = None
-                client = TsubasaClient(provider=MmapProvider(mmap_path))
-                max_workers = 4  # read-only maps share safely
-            start = time.perf_counter()
-            try:
-                _, stats = run_specs(
-                    client, specs, max_workers=max_workers,
-                    concurrency=concurrency,
-                )
-            finally:
-                if store is not None:
-                    store.close()
-            elapsed = time.perf_counter() - start
-            rows.append({
-                "backend": name,
-                "concurrency": concurrency,
-                "queries": len(specs),
-                "seconds": elapsed,
-                "qps": len(specs) / elapsed,
-                "coalesced": stats.coalesced,
-                "coalesce_rate": round(stats.coalesce_rate, 4),
-                "matrices_computed": stats.matrices_computed,
-                "service_workers": max_workers,
-            })
+        client = TsubasaClient(provider=MmapProvider(mmap_path))
+        start = time.perf_counter()
+        _, stats = run_specs(
+            client, specs, max_workers=max_workers, concurrency=concurrency
+        )
+        elapsed = time.perf_counter() - start
+        rows.append({
+            "backend": "service_mmap",
+            "concurrency": concurrency,
+            "queries": len(specs),
+            "seconds": elapsed,
+            "qps": len(specs) / elapsed,
+            "coalesced": stats.coalesced,
+            "coalesce_rate": round(stats.coalesce_rate, 4),
+            "matrices_computed": stats.matrices_computed,
+            "service_workers": max_workers,
+        })
     rows.extend(run_service_remote(mmap_path, specs))
     rows.extend(run_service_workers(mmap_path, specs))
     return rows
@@ -665,17 +610,11 @@ def main() -> int:
             payload = run(Path(tmp))
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.out}")
-    by_backend = {}
     for entry in payload["results"]:
         q = entry.get("query")
         label = f"l={q['length']:<5}" if q else "build  "
         print(f"  {entry['backend']:<19} {label} "
               f"{entry['seconds'] * 1e3:8.2f} ms")
-        if q and q["length"] == QUERY[1]:
-            by_backend.setdefault(entry["backend"], entry["seconds"])
-    if "mmap_cold" in by_backend and "store_cold" in by_backend:
-        ratio = by_backend["store_cold"] / by_backend["mmap_cold"]
-        print(f"  mmap_cold is {ratio:.1f}x faster than store_cold")
     print("scale (aligned query, 30 windows):")
     for entry in payload["scale"]:
         print(f"  {entry['backend']:<12} n={entry['n_stations']:<4} "

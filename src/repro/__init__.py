@@ -8,8 +8,8 @@ SIGMOD 2022). The library provides:
   (:mod:`repro.core`),
 * the DFT-based approximate competitor (:mod:`repro.approx`),
 * the raw-data baseline (:mod:`repro.baseline`),
-* pluggable sketch backends — in-memory, lazily store-backed with an LRU
-  cache, or chunked on-demand (:mod:`repro.engine`),
+* pluggable read-only sketch backends — in-memory, zero-copy
+  memory-mapped, or chunked on-demand (:mod:`repro.engine`),
 * disk-backed sketch stores and the parallel pair-partitioned executor
   (:mod:`repro.storage`, :mod:`repro.parallel`),
 * stream ingestion utilities (:mod:`repro.streams`),
@@ -74,7 +74,6 @@ from repro.engine import (
     ChunkedBuildProvider,
     InMemoryProvider,
     SketchProvider,
-    StoreProvider,
 )
 from repro.exceptions import (
     DataError,
@@ -106,7 +105,6 @@ __all__ = [
     "Sketch",
     "SketchProvider",
     "InMemoryProvider",
-    "StoreProvider",
     "ChunkedBuildProvider",
     "ApproxSketch",
     "SlidingCorrelationState",

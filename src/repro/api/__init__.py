@@ -9,8 +9,7 @@ This package is the public *request surface* of the TSUBASA reproduction:
   :class:`~repro.api.spec.Provenance`.
 * :mod:`repro.api.client` — :class:`~repro.api.client.TsubasaClient`, the
   planner/facade routing any spec to the right engine over any sketch
-  backend, choosing serial vs parallel execution by a pluggable
-  :class:`~repro.api.client.QueryPolicy`.
+  backend.
 * :mod:`repro.api.service` — :class:`~repro.api.service.TsubasaService`, the
   long-lived :mod:`asyncio` service multiplexing many concurrent specs over
   one shared provider with in-flight coalescing, a finished-result LRU, and
@@ -36,14 +35,7 @@ Clients speak :class:`~repro.api.spec.QuerySpec`, never engine internals —
 in-process and over the network alike.
 """
 
-from repro.api.client import (
-    AutoPolicy,
-    MatrixExecution,
-    ParallelPolicy,
-    QueryPolicy,
-    SerialPolicy,
-    TsubasaClient,
-)
+from repro.api.client import MatrixExecution, TsubasaClient
 from repro.api.frames import (
     CONTENT_TYPE_V2,
     decode_frame,
@@ -92,10 +84,6 @@ __all__ = [
     "Provenance",
     "OPS",
     "TsubasaClient",
-    "QueryPolicy",
-    "SerialPolicy",
-    "ParallelPolicy",
-    "AutoPolicy",
     "MatrixExecution",
     "TsubasaService",
     "ServiceStats",

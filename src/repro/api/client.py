@@ -2,24 +2,20 @@
 
 :class:`TsubasaClient` executes declarative :class:`~repro.api.spec.QuerySpec`
 requests against any :class:`~repro.engine.providers.SketchProvider` backend
-(in-memory, SQLite store, memory-mapped arrays, chunked on-demand build) and,
-optionally, the DFT-based approximate sketch. It is a *planner*: every
-operation reduces to one or two correlation matrices plus cheap
-post-processing, and a pluggable :class:`QueryPolicy` decides whether each
-matrix is computed serially (streaming Lemma 1 through the provider) or
-fanned out across processes via
-:func:`~repro.parallel.executor.parallel_query`.
+(in-memory, memory-mapped arrays, chunked on-demand build) and, optionally,
+the DFT-based approximate sketch. It is a *planner*: every operation reduces
+to one or two correlation matrices plus cheap post-processing, and each
+matrix is computed in-process — from the backend's prefix tables when it has
+them, otherwise by streaming Lemma 1 through the provider.
 
 The engine classes (:class:`~repro.core.exact.TsubasaHistorical`,
 :class:`~repro.approx.network.TsubasaApproximate`) delegate their query
 methods here, so the client is *the* implementation of the query surface —
-with the default :class:`SerialPolicy` its answers are bit-identical to the
-historical engine paths they replaced.
+its answers are bit-identical to the historical engine paths they replaced.
 """
 
 from __future__ import annotations
 
-import abc
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
@@ -41,99 +37,14 @@ from repro.core.queries import (
     pairs_in_range,
     top_k_pairs,
 )
-from repro.core.segmentation import BasicWindowPlan, WindowSelection
+from repro.core.segmentation import BasicWindowPlan
 from repro.engine.providers import SketchProvider
 from repro.exceptions import DataError, ServiceError, SketchError
 
 if TYPE_CHECKING:
     from repro.approx.sketch import ApproxSketch
 
-__all__ = [
-    "QueryPolicy",
-    "SerialPolicy",
-    "ParallelPolicy",
-    "AutoPolicy",
-    "MatrixExecution",
-    "TsubasaClient",
-]
-
-
-class QueryPolicy(abc.ABC):
-    """Decides how many workers answer one matrix computation.
-
-    A policy sees the spec being planned, the aligned window selection, and
-    the provider, and returns a worker count — ``1`` means serial in-process
-    execution, anything larger fans out through
-    :func:`~repro.parallel.executor.parallel_query`. Selections with raw
-    head/tail fragments are always executed serially regardless of the
-    policy (the parallel executor consumes aligned selections only).
-    """
-
-    @abc.abstractmethod
-    def workers(
-        self,
-        spec: QuerySpec,
-        selection: WindowSelection,
-        provider: SketchProvider,
-    ) -> int:
-        """Worker count for this matrix computation (``1`` = serial)."""
-
-
-class SerialPolicy(QueryPolicy):
-    """Always execute serially (the default: zero fork overhead, and answers
-    bit-identical to the classic engine paths)."""
-
-    def workers(self, spec, selection, provider):
-        return 1
-
-
-class ParallelPolicy(QueryPolicy):
-    """Always fan out aligned queries across ``n_workers`` processes.
-
-    Args:
-        n_workers: Worker processes per matrix computation.
-    """
-
-    def __init__(self, n_workers: int) -> None:
-        if n_workers <= 0:
-            raise DataError("n_workers must be positive")
-        self.n_workers = n_workers
-
-    def workers(self, spec, selection, provider):
-        return self.n_workers if selection.is_aligned else 1
-
-
-class AutoPolicy(QueryPolicy):
-    """Fan out only when the selection is large enough to amortize the forks.
-
-    Selections the backend can answer from prefix-aggregate tables
-    (:meth:`~repro.engine.providers.SketchProvider.prefix_range`) always
-    stay serial: the prefix combination is ``O(n_series^2)`` regardless of
-    ``n_windows``, so pre-splitting the window range across processes only
-    adds fork overhead to a query that no longer scales with the range.
-
-    Args:
-        n_workers: Worker processes used when parallel execution is chosen.
-        min_cells: Minimum ``n_series^2 * n_windows`` covariance cells in the
-            selection before fan-out pays for itself. The default (50M cells
-            = 400 MB of float64 covariances) is calibrated so the benchmark
-            workloads in this repository stay serial and real deployments
-            (thousands of stations, hundreds of windows) go wide.
-    """
-
-    def __init__(self, n_workers: int = 4, min_cells: int = 50_000_000) -> None:
-        if n_workers <= 0:
-            raise DataError("n_workers must be positive")
-        self.n_workers = n_workers
-        self.min_cells = min_cells
-
-    def workers(self, spec, selection, provider):
-        if not selection.is_aligned:
-            return 1
-        if provider.prefix_range(selection) is not None:
-            return 1
-        cells = provider.n_series**2 * int(selection.full_windows.size)
-        return self.n_workers if cells >= self.min_cells else 1
+__all__ = ["MatrixExecution", "TsubasaClient"]
 
 
 @dataclass(frozen=True)
@@ -143,26 +54,18 @@ class MatrixExecution:
     Attributes:
         matrix: The labeled correlation matrix.
         backend: Provider backend name (or ``"approx"``).
-        execution: ``"serial"`` or ``"parallel"``.
-        n_workers: Workers used.
         seconds: Wall time of the computation.
         path: ``"prefix"`` (prefix-aggregate combination) or ``"direct"``
             (streaming Lemma 1 over the selected windows).
         from_cache: Whether this execution was replayed from the service's
             result cache rather than computed.
-        cache_hits: Provider cache hits during the computation.
-        cache_misses: Provider cache misses during the computation.
     """
 
     matrix: CorrelationMatrix
     backend: str
-    execution: str
-    n_workers: int
     seconds: float
     path: str = "direct"
     from_cache: bool = False
-    cache_hits: int = 0
-    cache_misses: int = 0
 
 
 class TsubasaClient:
@@ -177,10 +80,8 @@ class TsubasaClient:
             raw data for partial head/tail fragments of non-aligned windows.
         coordinates: Optional ``name -> (lat, lon)`` node positions attached
             to constructed networks.
-        policy: Serial/parallel planning policy; default
-            :class:`SerialPolicy`.
         chunk_windows: Basic windows per streamed covariance chunk on the
-            serial query path.
+            direct query path.
     """
 
     def __init__(
@@ -189,7 +90,6 @@ class TsubasaClient:
         approx_sketch: "ApproxSketch | None" = None,
         data: np.ndarray | None = None,
         coordinates: dict[str, tuple[float, float]] | None = None,
-        policy: QueryPolicy | None = None,
         chunk_windows: int = DEFAULT_CHUNK_WINDOWS,
     ) -> None:
         if provider is None and approx_sketch is None:
@@ -202,7 +102,6 @@ class TsubasaClient:
         self._approx = approx_sketch
         self._data = None if data is None else np.asarray(data, dtype=np.float64)
         self._coordinates = coordinates
-        self._policy = policy if policy is not None else SerialPolicy()
         self._chunk_windows = chunk_windows
         if provider is not None:
             self._plan = provider.plan
@@ -273,8 +172,6 @@ class TsubasaClient:
             return MatrixExecution(
                 matrix=matrix,
                 backend="approx",
-                execution="serial",
-                n_workers=1,
                 seconds=time.perf_counter() - start,
             )
         provider = self._provider
@@ -283,50 +180,30 @@ class TsubasaClient:
                 "this client holds no exact sketch backend; use engine='approx'"
             )
         selection = self._plan.align(window.resolve(self._plan))
-        hits0 = getattr(provider, "cache_hits", 0)
-        misses0 = getattr(provider, "cache_misses", 0)
-        n_workers = max(int(self._policy.workers(spec, selection, provider)), 1)
-        path = "direct"
-        if n_workers > 1 and selection.is_aligned and selection.full_windows.size:
-            from repro.parallel.executor import parallel_query
-
-            result = parallel_query(
-                selection.full_windows, n_workers=n_workers, provider=provider
-            )
-            matrix = result.as_matrix(provider.names)
-            execution = "parallel"
+        # A contiguous interior goes through the backend's prefix tables
+        # when it has them: O(n^2) per query, independent of the number of
+        # selected windows, with a non-aligned window's head/tail fragments
+        # folded in as two more terms. The fragments are sketched first, so
+        # a backend without raw data raises before any table read.
+        # Everything else streams the direct Lemma 1 reduction.
+        bounds = provider.prefix_range(selection)
+        if bounds is not None:
+            fragments = selection_fragments(provider, selection, self._data)
+            values = provider.prefix_matrix(*bounds, fragments)
+            path = "prefix"
         else:
-            # A contiguous interior goes through the backend's prefix tables
-            # when it has them: O(n^2) per query, independent of the number
-            # of selected windows, with a non-aligned window's head/tail
-            # fragments folded in as two more terms. The fragments are
-            # sketched first, so a backend without raw data raises before
-            # any table read. Everything else streams the direct Lemma 1
-            # reduction.
-            bounds = provider.prefix_range(selection)
-            if bounds is not None:
-                fragments = selection_fragments(provider, selection, self._data)
-                values = provider.prefix_matrix(*bounds, fragments)
-                path = "prefix"
-            else:
-                values = query_correlation_matrix(
-                    provider,
-                    selection,
-                    data=self._data,
-                    chunk_windows=self._chunk_windows,
-                )
-            matrix = CorrelationMatrix(names=list(provider.names), values=values)
-            execution = "serial"
-            n_workers = 1
+            values = query_correlation_matrix(
+                provider,
+                selection,
+                data=self._data,
+                chunk_windows=self._chunk_windows,
+            )
+            path = "direct"
         return MatrixExecution(
-            matrix=matrix,
+            matrix=CorrelationMatrix(names=list(provider.names), values=values),
             backend=provider.backend_name,
-            execution=execution,
-            n_workers=n_workers,
             seconds=time.perf_counter() - start,
             path=path,
-            cache_hits=getattr(provider, "cache_hits", 0) - hits0,
-            cache_misses=getattr(provider, "cache_misses", 0) - misses0,
         )
 
     def _approx_matrix(
@@ -418,13 +295,9 @@ class TsubasaClient:
         provenance = Provenance(
             backend=lead.backend,
             engine=spec.engine,
-            execution=lead.execution,
             path=lead.path,
-            n_workers=lead.n_workers,
             coalesced=coalesced,
             cache=any(e.from_cache for e in executions),
-            cache_hits=sum(e.cache_hits for e in executions),
-            cache_misses=sum(e.cache_misses for e in executions),
         )
         return QueryResult(
             spec=spec,
@@ -442,8 +315,7 @@ class TsubasaClient:
 
         Returns:
             A :class:`~repro.api.spec.QueryResult` whose value matches the
-            classic engine methods bit-for-bit under the default serial
-            policy.
+            classic engine methods bit-for-bit.
         """
         return self._execute(spec, memo=None)
 

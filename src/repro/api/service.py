@@ -28,15 +28,8 @@ through :func:`asyncio.shield`, so a cancelled caller never cancels the work
 its coalesced peers are waiting on.
 
 Matrix computations run on a dedicated thread pool so the event loop stays
-responsive. The default of one executor thread serializes backend access,
-which is required for cache-bearing providers
-(:class:`~repro.engine.providers.StoreProvider`'s LRU and sqlite3
-connection are not thread-safe); asking for ``max_workers > 1`` over such a
-backend is rejected at construction
-(:attr:`~repro.engine.providers.SketchProvider.thread_safe_reads`).
-Read-only backends (:class:`~repro.engine.providers.MmapProvider`,
-:class:`~repro.engine.providers.InMemoryProvider`) run safely with
-``max_workers > 1``.
+responsive. Every provider is read-only after construction, so any
+``max_workers`` shares one backend safely.
 
 Usage::
 
@@ -160,11 +153,7 @@ class TsubasaService:
     Args:
         client: The planner/facade executing matrix computations and
             post-processing. Its provider is shared across every request.
-        max_workers: Executor threads running matrix computations. Values
-            above 1 are only accepted for backends that declare
-            ``thread_safe_reads`` (mmap, in-memory); cache-bearing
-            providers (``StoreProvider``, ``ChunkedBuildProvider``) must
-            stay at the default of 1.
+        max_workers: Executor threads running matrix computations.
         result_cache: Finished matrices kept in a bounded LRU keyed by
             :meth:`~repro.api.client.TsubasaClient.matrix_key` and replayed
             to later identical demands. ``0`` (the default) disables the
@@ -181,21 +170,6 @@ class TsubasaService:
             raise DataError(f"expected a TsubasaClient, got {type(client)!r}")
         if max_workers <= 0:
             raise DataError("max_workers must be positive")
-        provider = client.provider
-        if (
-            max_workers > 1
-            and provider is not None
-            and not provider.thread_safe_reads
-        ):
-            # A cache-bearing backend (StoreProvider's LRU + sqlite3
-            # connection, ChunkedBuildProvider's LRU) corrupts state under
-            # concurrent reads; refusing here turns a data race into a
-            # clear configuration error.
-            raise ServiceError(
-                f"the {provider.backend_name!r} backend is not safe for "
-                f"concurrent reads; use max_workers=1 (or an mmap/in-memory "
-                "provider for multi-threaded service execution)"
-            )
         if result_cache < 0:
             raise DataError("result_cache must be >= 0")
         self._client = client
@@ -354,20 +328,11 @@ class TsubasaService:
             if cached is not None:
                 # Replay a finished matrix: no computation, no provider
                 # reads. The execution is re-stamped so the result's
-                # provenance carries cache=True and no stale timings or
-                # provider-cache deltas.
+                # provenance carries cache=True and no stale timings.
                 self._results.move_to_end(key)
                 self._result_hits += 1
                 future = asyncio.get_running_loop().create_future()
-                future.set_result(
-                    replace(
-                        cached,
-                        from_cache=True,
-                        seconds=0.0,
-                        cache_hits=0,
-                        cache_misses=0,
-                    )
-                )
+                future.set_result(replace(cached, from_cache=True, seconds=0.0))
                 return future, False
             self._result_misses += 1
         task = self._inflight.get(key)

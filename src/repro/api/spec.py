@@ -367,22 +367,23 @@ class Provenance:
     """How a query was actually answered.
 
     Attributes:
-        backend: Sketch backend identifier (``"memory"``, ``"store"``,
-            ``"mmap"``, ``"chunked"``, ...).
+        backend: Sketch backend identifier (``"memory"``, ``"mmap"``,
+            ``"chunked"``, ...).
         engine: ``"exact"`` or ``"approx"``.
-        execution: ``"serial"`` or ``"parallel"``.
+        execution: Always ``"serial"``: every matrix is computed
+            in-process. Kept, with ``n_workers``, ``cache_hits`` and
+            ``cache_misses``, so v1 and v2 response bytes stay stable.
         path: Combination strategy: ``"prefix"`` when the matrix came from
             prefix-aggregate tables (:mod:`repro.core.prefix`, O(n^2) per
             query), ``"direct"`` for the streaming Lemma 1 reduction over
             the selected windows.
-        n_workers: Worker processes used (1 for serial execution).
+        n_workers: Always 1.
         coalesced: Whether this request shared an in-flight matrix
             computation instead of running its own (service layer).
         cache: Whether the matrix was served from the service's bounded
             result cache instead of being computed at all.
-        cache_hits: Provider cache hits observed during this query (0 for
-            backends without a cache; approximate under concurrent sharing).
-        cache_misses: Provider cache misses observed during this query.
+        cache_hits: Always 0 (no provider keeps a record cache).
+        cache_misses: Always 0.
     """
 
     backend: str

@@ -54,9 +54,7 @@ class WorkerConfig:
 
     Attributes:
         store: Path to the sketch store (mmap directory or SQLite file).
-        backend: Provider backend — ``"mmap"``, ``"store"``, or
-            ``"memory"``.
-        cache_windows: ``StoreProvider`` window cache size.
+        backend: Provider backend — ``"mmap"`` or ``"memory"``.
         data: Optional raw dataset (``.npz``) for data-plane ops.
         prefix: Wrap the provider in prefix-aggregate tables.
         host: Bind host.
@@ -69,7 +67,6 @@ class WorkerConfig:
 
     store: str
     backend: str = "mmap"
-    cache_windows: int = 64
     data: str | None = None
     prefix: bool = False
     host: str = "127.0.0.1"
@@ -91,10 +88,8 @@ def _worker_main(config: WorkerConfig, port: int, ready) -> None:
         command="serve",
         store=config.store,
         backend=config.backend,
-        cache_windows=config.cache_windows,
         data=config.data,
         prefix=config.prefix,
-        parallel=0,
     )
 
     async def run() -> None:

@@ -11,8 +11,8 @@ Subcommands mirror the system's life cycle::
     tsubasa sketch   --data data.npz --window-size 200 --store sketch.db \
                      --chunk-rows 512            # memory-bounded build
     tsubasa query    --store sketch.db --end 8759 --length 3000 --theta 0.75
-    tsubasa query    --store sketch.db --backend store --data data.npz \
-                     --end 8759 --length 2971    # lazy reads, arbitrary window
+    tsubasa query    --store sketch.db --data data.npz \
+                     --end 8759 --length 2971    # arbitrary window
     tsubasa query    --store sketch.mm --backend mmap --end 8759 --length 3000
     tsubasa convert  --src sketch.db --dst sketch.mm --dst-backend mmap
     tsubasa stream   --data data.npz --window-size 200 --initial 3000 \
@@ -32,14 +32,14 @@ store-reading commands detect the layout from the path, and ``tsubasa
 convert`` migrates a sketch between the two.
 
 Query commands choose a sketch backend with ``--backend``: ``memory`` loads
-the whole sketch up front (the paper's in-memory configuration), ``store``
-reads window records lazily through an LRU-cached
-:class:`~repro.engine.providers.StoreProvider` (the disk-based
+the whole sketch up front from either layout (the paper's in-memory
 configuration), and ``mmap`` serves queries zero-copy from a memory-mapped
-store's arrays (:class:`~repro.engine.providers.MmapProvider`) — the answers
-are identical. Passing ``--data`` enables arbitrary (non-aligned) query
-windows by sketching the partial head/tail fragments from raw data at query
-time. ``--prefix`` wraps any backend in prefix-aggregate tables
+store's arrays (:class:`~repro.engine.providers.MmapProvider`, the
+disk-based configuration) — the answers are identical. A SQLite database is
+the interchange and archival format: serve it with ``--backend memory``, or
+``tsubasa convert`` it to mmap first. Passing ``--data`` enables arbitrary
+(non-aligned) query windows by sketching the partial head/tail fragments
+from raw data at query time. ``--prefix`` wraps any backend in prefix-aggregate tables
 (:mod:`repro.core.prefix`) so contiguous window ranges cost ``O(n^2)``
 regardless of their length; the mmap backend picks up tables persisted with
 ``tsubasa sketch --prefix`` automatically.
@@ -72,7 +72,7 @@ import time
 import numpy as np
 
 from repro.analysis.topology import summarize_topology
-from repro.api.client import ParallelPolicy, TsubasaClient
+from repro.api.client import TsubasaClient
 from repro.api.service import TsubasaService
 from repro.api.spec import QuerySpec, WindowSpec
 from repro.core.exact import TsubasaHistorical
@@ -86,7 +86,6 @@ from repro.engine.providers import (
     MmapProvider,
     PrefixProvider,
     SketchProvider,
-    StoreProvider,
 )
 from repro.exceptions import (
     DataError,
@@ -247,32 +246,22 @@ def _open_provider(
         if not isinstance(store, MmapStore):
             raise SketchError(
                 f"--backend mmap needs a memory-mapped store directory; "
-                f"{args.store} is a SQLite database (run 'tsubasa convert' "
-                "first, or use --backend store)"
+                f"{args.store} is a SQLite database (run 'tsubasa convert "
+                "--dst-backend mmap' first, or use --backend memory)"
             )
         # The mmap backend serves persisted prefix tables on its own;
         # --prefix additionally covers stores without them (in-memory build).
         provider: SketchProvider = MmapProvider(store, data=data)
-    elif args.backend == "store":
-        provider = StoreProvider(
-            store, cache_windows=args.cache_windows, data=data
-        )
     else:
         provider = InMemoryProvider(load_sketch(store), data=data)
     if getattr(args, "prefix", False):
-        # The long-lived service may share the provider across executor
-        # threads; an eager build keeps the tables immutable on the query
-        # path. One-shot queries build lazily, only up to the windows asked.
-        provider = PrefixProvider(provider, eager=args.command == "serve")
+        provider = PrefixProvider(provider)
     return provider
 
 
 def _open_client(store: SketchStore, args: argparse.Namespace) -> TsubasaClient:
     """Build the declarative query client over the selected backend."""
-    policy = None
-    if getattr(args, "parallel", 0):
-        policy = ParallelPolicy(args.parallel)
-    return TsubasaClient(provider=_open_provider(store, args), policy=policy)
+    return TsubasaClient(provider=_open_provider(store, args))
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
@@ -302,11 +291,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return exit_code_for(exc)
     provenance = result.provenance
-    mode = "" if provenance.execution == "serial" else (
-        f", {provenance.execution} x{provenance.n_workers}"
-    )
-    if provenance.path != "direct":
-        mode += f", {provenance.path} path"
+    mode = "" if provenance.path == "direct" else f", {provenance.path} path"
     print(f"query answered from sketches in "
           f"{result.timings['total'] * 1e3:.1f} ms "
           f"({provenance.backend} backend{mode})")
@@ -584,7 +569,6 @@ def _serve_supervised(args: argparse.Namespace) -> int:
     config = WorkerConfig(
         store=args.store,
         backend=args.backend,
-        cache_windows=args.cache_windows,
         data=args.data,
         prefix=args.prefix,
         host=host,
@@ -719,14 +703,11 @@ def build_parser() -> argparse.ArgumentParser:
     cv.set_defaults(func=_cmd_convert)
 
     def add_backend_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--backend", choices=("memory", "store", "mmap"),
+        p.add_argument("--backend", choices=("memory", "mmap"),
                        default="memory",
-                       help="sketch backend: load whole sketch up front "
-                            "(memory), read windows lazily with an LRU "
-                            "cache (store), or serve zero-copy slices of a "
-                            "memory-mapped store (mmap)")
-        p.add_argument("--cache-windows", type=int, default=64,
-                       help="store backend: LRU capacity in window records")
+                       help="sketch backend: load the whole sketch up front "
+                            "(memory, either layout), or serve zero-copy "
+                            "slices of a memory-mapped store (mmap)")
         p.add_argument("--data", default=None,
                        help="raw dataset enabling arbitrary (non-aligned) "
                             "query windows")
@@ -744,9 +725,6 @@ def build_parser() -> argparse.ArgumentParser:
     qr.add_argument("--alpha", type=float, default=None,
                     help="derive theta from a significance level instead")
     qr.add_argument("--max-edges", type=int, default=10)
-    qr.add_argument("--parallel", type=int, default=0,
-                    help="fan the matrix computation out over N worker "
-                         "processes (0 = serial)")
     add_backend_args(qr)
     qr.set_defaults(func=_cmd_query)
 
@@ -816,12 +794,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sv.add_argument("--store", required=True)
     sv.add_argument("--workers", type=int, default=1,
-                    help="stdin mode: executor threads computing matrices "
-                         "(keep 1 for --backend store). With --http, N > 1 "
-                         "instead spawns N SO_REUSEPORT acceptor processes "
-                         "sharing the port, each with its own event loop "
-                         "and service (restarted on crash, drained on "
-                         "SIGTERM)")
+                    help="stdin mode: executor threads computing matrices. "
+                         "With --http, N > 1 instead spawns N SO_REUSEPORT "
+                         "acceptor processes sharing the port, each with "
+                         "its own event loop and service (restarted on "
+                         "crash, drained on SIGTERM)")
     sv.add_argument("--max-pending", type=int, default=256,
                     help="responses allowed ahead of the printer before the "
                          "reader pauses stdin (bounds in-flight memory)")

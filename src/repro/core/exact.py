@@ -197,10 +197,10 @@ class TsubasaHistorical:
 
         TsubasaHistorical(data, window_size=50)
 
-    while ``provider=`` plugs in any backend — a lazily read SQLite store, a
+    while ``provider=`` plugs in any backend — a memory-mapped store, a
     memory-bounded chunked build — without changing query semantics::
 
-        TsubasaHistorical(provider=StoreProvider(sqlite_store))
+        TsubasaHistorical(provider=MmapProvider("sketch.mm"))
 
     Args:
         data: ``(n, L)`` matrix of synchronized series (omit with

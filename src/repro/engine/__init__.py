@@ -6,13 +6,11 @@ from repro.engine.providers import (
     MmapProvider,
     PrefixProvider,
     SketchProvider,
-    StoreProvider,
 )
 
 __all__ = [
     "SketchProvider",
     "InMemoryProvider",
-    "StoreProvider",
     "ChunkedBuildProvider",
     "MmapProvider",
     "PrefixProvider",

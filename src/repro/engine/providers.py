@@ -2,7 +2,7 @@
 
 The paper's point (§3.4) is that the *sketch* — not raw data — is the
 query-time substrate, and that it can live anywhere: in memory next to the
-engine, in a database read lazily at query time, or nowhere at all (computed
+engine, in memory-mapped files read at query time, or nowhere at all (computed
 block-by-block from raw data under a memory bound). A
 :class:`SketchProvider` abstracts that choice behind one narrow interface —
 per-window series statistics plus per-window covariance rows/chunks — so
@@ -10,21 +10,22 @@ every engine (:class:`~repro.core.exact.TsubasaHistorical`, the pruning
 path, the parallel executor, real-time warm starts) runs unchanged against
 any backend.
 
-Three providers are shipped:
+Three providers are shipped, plus one wrapper. Every one is read-only after
+construction — a query never mutates provider state — so one provider can
+be shared by any number of concurrent readers:
 
 * :class:`InMemoryProvider` — wraps a fully materialized
   :class:`~repro.core.sketch.Sketch` (the paper's in-memory configuration).
-* :class:`StoreProvider` — lazy window loading from any
-  :class:`~repro.storage.base.SketchStore` with batched reads and an LRU
-  window-record cache; queries never hold the full ``(ns, n, n)`` covariance
-  tensor at once (the paper's disk-based configuration).
+  A SQLite store serves through it after
+  :func:`~repro.storage.serialize.load_sketch`; SQLite is the interchange
+  and archival format, not a serving backend.
 * :class:`ChunkedBuildProvider` — no precomputed sketch at all: window
   statistics are cheap and kept whole, per-window covariance matrices are
   built on demand in row blocks (reusing the parallel executor's
   :func:`~repro.parallel.executor.sketch_partition`) under a configurable
-  memory bound, with an LRU of finished windows. Useful for large ``n``
-  where the full tensor would not fit, and for streaming a sketch into a
-  store without ever materializing it (:meth:`ChunkedBuildProvider.save_to`).
+  memory bound. Useful for large ``n`` where the full tensor would not fit,
+  and for streaming a sketch into a store without ever materializing it
+  (:meth:`ChunkedBuildProvider.save_to`).
 * :class:`MmapProvider` — zero-copy reads from an
   :class:`~repro.storage.mmap_store.MmapStore`: window statistics and
   covariance chunks are *slices of read-only memory-mapped arrays*, with no
@@ -38,8 +39,8 @@ Three providers are shipped:
 * :class:`PrefixProvider` — a wrapper over *any* of the above: contiguous
   selections, with or without head/tail fragments, are answered in
   ``O(n^2)`` from prefix-aggregate tables (:mod:`repro.core.prefix`) —
-  built lazily from one streaming pass over the wrapped backend, or adopted
-  zero-copy from an :class:`~repro.storage.mmap_store.MmapStore`'s
+  built at construction from one streaming pass over the wrapped backend,
+  or adopted zero-copy from an :class:`~repro.storage.mmap_store.MmapStore`'s
   persisted tables — while non-contiguous selections delegate to the
   wrapped provider unchanged.
 """
@@ -47,7 +48,6 @@ Three providers are shipped:
 from __future__ import annotations
 
 import abc
-from collections import OrderedDict
 from collections.abc import Iterator, Sequence
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -68,7 +68,6 @@ if TYPE_CHECKING:
 __all__ = [
     "SketchProvider",
     "InMemoryProvider",
-    "StoreProvider",
     "ChunkedBuildProvider",
     "MmapProvider",
     "PrefixProvider",
@@ -86,18 +85,13 @@ class SketchProvider(abc.ABC):
     The interface is exactly what the Lemma 1 kernels consume: per-window
     per-series statistics (small, ``O(n * ns)``) delivered whole, and the
     per-window covariance matrices (large, ``O(ns * n^2)``) delivered as
-    row blocks or window chunks so backends can bound memory.
+    row blocks or window chunks so backends can bound memory. Reads must be
+    safe for concurrent callers: a provider holds no state that a query
+    mutates (tsulint TSU009 keeps ``self`` assignments in ``__init__``).
     """
 
     #: Short backend identifier used in query provenance and CLI output.
     backend_name = "custom"
-
-    #: Whether concurrent reads from multiple threads are safe. True only
-    #: for backends whose query path touches read-only state (in-memory
-    #: sketches, mmap views); cache-bearing or connection-bearing backends
-    #: must be driven from one thread at a time, and the query service
-    #: enforces that.
-    thread_safe_reads = False
 
     # -- collection metadata -------------------------------------------------
 
@@ -178,9 +172,9 @@ class SketchProvider(abc.ABC):
         """Statistics *and* covariances of the selected windows, chunked.
 
         The single-pass feed for
-        :func:`~repro.core.lemma1.combine_matrix_chunked`: backends that pay
-        per-record I/O (stores) override this to deliver each window record
-        exactly once. Covariances come as packed upper-triangle rows
+        :func:`~repro.core.lemma1.combine_matrix_chunked`: backends whose
+        stored layout already is the chunk layout (mmap) override this to
+        stream it zero-copy. Covariances come as packed upper-triangle rows
         (:func:`~repro.core.packing.pack_symmetric`), C-contiguous, for
         every backend — the one chunk layout the kernel reduces on.
 
@@ -343,7 +337,6 @@ class InMemoryProvider(SketchProvider):
     """
 
     backend_name = "memory"
-    thread_safe_reads = True  # pure array slicing over an immutable sketch
 
     def __init__(self, sketch: Sketch, data: np.ndarray | None = None) -> None:
         self._sketch = sketch
@@ -409,220 +402,6 @@ class InMemoryProvider(SketchProvider):
         if indices is None:
             return self._sketch
         return self._sketch.select(np.asarray(indices, dtype=np.int64))
-
-
-class _LruRecordCache:
-    """Bounded LRU of window records (or per-window covariance matrices)."""
-
-    def __init__(self, capacity: int | None) -> None:
-        if capacity is not None and capacity < 0:
-            raise DataError("cache capacity must be >= 0 or None (unbounded)")
-        self._capacity = capacity
-        self._entries: OrderedDict[int, object] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def capacity(self) -> int | None:
-        """Maximum entries held (``None`` = unbounded)."""
-        return self._capacity
-
-    def get(self, key: int):
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return self._entries[key]
-        self.misses += 1
-        return None
-
-    def put(self, key: int, value: object) -> None:
-        if self._capacity == 0:
-            return
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while self._capacity is not None and len(self._entries) > self._capacity:
-            self._entries.popitem(last=False)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-class StoreProvider(SketchProvider):
-    """Lazy provider over a :class:`~repro.storage.base.SketchStore`.
-
-    Window records are read from the store in batches only when a query
-    needs them, and recently used records are kept in a bounded LRU cache —
-    repeated queries over overlapping windows (sweeps, dashboards) hit the
-    cache instead of the database. Queries through this provider never hold
-    more than ``read_batch`` freshly read records plus the cache.
-
-    Args:
-        store: Open sketch store holding an ``"exact"`` sketch.
-        cache_windows: LRU capacity in window records; ``0`` disables
-            caching, ``None`` is unbounded. Default 64.
-        read_batch: Maximum records fetched per ``read_windows`` call (the
-            §3.4 batched reads). Default 32.
-        data: Optional raw ``(n, L)`` matrix enabling arbitrary query
-            windows; without it only aligned queries are answerable (the
-            sketch-only deployment).
-    """
-
-    backend_name = "store"
-
-    def __init__(
-        self,
-        store: SketchStore,
-        cache_windows: int | None = 64,
-        read_batch: int = 32,
-        data: np.ndarray | None = None,
-    ) -> None:
-        if read_batch <= 0:
-            raise DataError("read_batch must be positive")
-        metadata = store.read_metadata()
-        if metadata.kind != "exact":
-            raise StorageError(
-                f"store holds a {metadata.kind!r} sketch, expected 'exact'"
-            )
-        self._store = store
-        self._metadata = metadata
-        self._read_batch = read_batch
-        self._cache = _LruRecordCache(cache_windows)
-        n_windows = store.window_count()
-        if n_windows == 0:
-            raise StorageError("store holds no window records")
-        # All windows are size B except possibly a shorter trailing one;
-        # one record read settles the exact sizes without scanning the store.
-        last = store.read_windows([n_windows - 1])[0]
-        sizes = np.full(n_windows, metadata.window_size, dtype=np.int64)
-        sizes[-1] = last.size
-        self._sizes = sizes
-        if data is not None:
-            data = np.asarray(data, dtype=np.float64)
-            if data.shape != (len(metadata.names), int(sizes.sum())):
-                raise DataError(
-                    f"raw data shape {data.shape} does not match the store's "
-                    f"({len(metadata.names)}, {int(sizes.sum())})"
-                )
-        self._data = data
-        self.windows_read = 0
-
-    @property
-    def store(self) -> SketchStore:
-        """The underlying sketch store."""
-        return self._store
-
-    @property
-    def names(self) -> list[str]:
-        return list(self._metadata.names)
-
-    @property
-    def window_size(self) -> int:
-        return self._metadata.window_size
-
-    @property
-    def sizes(self) -> np.ndarray:
-        return self._sizes
-
-    @property
-    def has_raw_data(self) -> bool:
-        return self._data is not None
-
-    @property
-    def cache_hits(self) -> int:
-        """Window records served from the LRU cache."""
-        return self._cache.hits
-
-    @property
-    def cache_misses(self) -> int:
-        """Window records that had to be read from the store."""
-        return self._cache.misses
-
-    @property
-    def cache_capacity(self) -> int | None:
-        """LRU capacity in window records (``None`` = unbounded)."""
-        return self._cache.capacity
-
-    def _iter_records(self, indices: np.ndarray) -> Iterator[WindowRecord]:
-        """Yield records in order, reading misses from the store in batches."""
-        indices = self._check_indices(indices)
-        for start in range(0, indices.size, self._read_batch):
-            batch = [int(i) for i in indices[start : start + self._read_batch]]
-            cached: dict[int, WindowRecord] = {}
-            missing: dict[int, None] = {}  # ordered de-dup of cache misses
-            for i in batch:
-                if i in cached or i in missing:
-                    continue
-                record = self._cache.get(i)
-                if record is None:
-                    missing[i] = None
-                else:
-                    cached[i] = record
-            fetched: dict[int, WindowRecord] = {}
-            if missing:
-                for record in self._store.read_windows(list(missing)):
-                    fetched[record.index] = record
-                    self._cache.put(record.index, record)
-                self.windows_read += len(missing)
-            for i in batch:
-                yield cached.get(i) or fetched[i]
-
-    def window_stats(self, indices):
-        indices = self._check_indices(indices)
-        n = self.n_series
-        means = np.empty((n, indices.size))
-        stds = np.empty((n, indices.size))
-        sizes = np.empty(indices.size)
-        for k, record in enumerate(self._iter_records(indices)):
-            means[:, k] = record.means
-            stds[:, k] = record.stds
-            sizes[k] = record.size
-        return means, stds, sizes
-
-    def iter_cov_chunks(self, indices, chunk_windows):
-        indices = self._check_indices(indices)
-        if chunk_windows <= 0:
-            raise SketchError("chunk_windows must be positive")
-        n = self.n_series
-        for start in range(0, indices.size, chunk_windows):
-            chunk_idx = indices[start : start + chunk_windows]
-            chunk = np.empty((chunk_idx.size, n, n))
-            for k, record in enumerate(self._iter_records(chunk_idx)):
-                chunk[k] = record.pairs
-            yield chunk
-
-    def iter_window_chunks(self, indices, chunk_windows):
-        # One record pass feeds both the statistics and the covariances, so
-        # a query reads each window from the store exactly once (the default
-        # implementation would read twice: stats pass + covariance pass).
-        indices = self._check_indices(indices)
-        if chunk_windows <= 0:
-            raise SketchError("chunk_windows must be positive")
-        n = self.n_series
-        for start in range(0, indices.size, chunk_windows):
-            chunk_idx = indices[start : start + chunk_windows]
-            means = np.empty((n, chunk_idx.size))
-            stds = np.empty((n, chunk_idx.size))
-            sizes = np.empty(chunk_idx.size)
-            covs = np.empty((chunk_idx.size, n, n))
-            for k, record in enumerate(self._iter_records(chunk_idx)):
-                means[:, k] = record.means
-                stds[:, k] = record.stds
-                sizes[k] = record.size
-                covs[k] = record.pairs
-            yield means, stds, sizes, pack_symmetric(covs)
-
-    def cov_rows(self, indices, rows):
-        indices = self._check_indices(indices)
-        rows = np.asarray(rows, dtype=np.int64)
-        block = np.empty((indices.size, rows.size, self.n_series))
-        for k, record in enumerate(self._iter_records(indices)):
-            block[k] = record.pairs[rows, :]
-        return block
-
-    def fragment(self, start, stop):
-        if self._data is None:
-            raise SketchError(_NO_RAW_MESSAGE)
-        return _raw_fragment(self._data, start, stop)
 
 
 def _contiguous_slice(indices: np.ndarray) -> slice | None:
@@ -692,7 +471,6 @@ class MmapProvider(SketchProvider):
     """
 
     backend_name = "mmap"
-    thread_safe_reads = True  # read-only mapped arrays, no per-query state
 
     def __init__(
         self,
@@ -857,15 +635,15 @@ class ChunkedBuildProvider(SketchProvider):
     per-window covariance matrices (``O(n^2)`` each) are built only when a
     query asks for them, in row blocks of at most ``chunk_rows`` series via
     the parallel executor's :func:`~repro.parallel.executor.sketch_partition`
-    primitive, and kept in a small LRU. Peak extra memory per window is
-    ``O(chunk_rows * n)`` beyond the ``(n, n)`` result.
+    primitive. Nothing is kept between calls: a window is rebuilt each time
+    a query needs it. Peak extra memory per window is ``O(chunk_rows * n)``
+    beyond the ``(n, n)`` result.
 
     Args:
         data: ``(n, L)`` matrix of synchronized series.
         window_size: Basic window size ``B``.
         names: Optional series identifiers.
         chunk_rows: Row-block height for covariance construction.
-        cache_windows: LRU capacity in finished ``(n, n)`` window matrices.
     """
 
     backend_name = "chunked"
@@ -876,7 +654,6 @@ class ChunkedBuildProvider(SketchProvider):
         window_size: int,
         names: list[str] | None = None,
         chunk_rows: int = 256,
-        cache_windows: int | None = 8,
     ) -> None:
         matrix = np.asarray(data, dtype=np.float64)
         if matrix.ndim != 2:
@@ -901,7 +678,6 @@ class ChunkedBuildProvider(SketchProvider):
             )
         self._window_size = window_size
         self._chunk_rows = chunk_rows
-        self._cache = _LruRecordCache(cache_windows)
 
     @property
     def names(self) -> list[str]:
@@ -919,20 +695,7 @@ class ChunkedBuildProvider(SketchProvider):
     def has_raw_data(self) -> bool:
         return True
 
-    @property
-    def cache_hits(self) -> int:
-        """Window covariances served from the LRU cache."""
-        return self._cache.hits
-
-    @property
-    def cache_misses(self) -> int:
-        """Window covariances built from raw data."""
-        return self._cache.misses
-
     def _window_cov(self, index: int) -> np.ndarray:
-        cached = self._cache.get(index)
-        if cached is not None:
-            return cached
         from repro.parallel.executor import sketch_partition
 
         start, stop = int(self._bounds[index]), int(self._bounds[index + 1])
@@ -944,9 +707,7 @@ class ChunkedBuildProvider(SketchProvider):
             rows = np.arange(row_start, min(row_start + self._chunk_rows, n))
             _, _, _, blocks = sketch_partition(rows, block_data, bounds)
             cov[rows] = blocks[0]
-        cov = 0.5 * (cov + cov.T)
-        self._cache.put(index, cov)
-        return cov
+        return 0.5 * (cov + cov.T)
 
     def window_stats(self, indices):
         idx = self._check_indices(indices)
@@ -1012,6 +773,24 @@ class ChunkedBuildProvider(SketchProvider):
             store.write_windows(batch)
 
 
+def _build_aggregates(base: SketchProvider, chunk_windows: int):
+    """Prefix tables over every window of ``base``, in one streaming pass."""
+    from repro.core.prefix import PrefixAggregates
+
+    n_windows = base.n_windows
+    indices = np.arange(n_windows, dtype=np.int64)
+    means, _, sizes = base.window_stats(indices)
+    means = np.ascontiguousarray(means, dtype=np.float64)
+    sizes = np.asarray(sizes, dtype=np.float64)
+    offsets = means @ sizes / float(sizes.sum())
+    aggregates = PrefixAggregates.allocate(offsets, n_windows)
+    for means, stds, sizes, covs in base.iter_window_chunks(
+        indices, chunk_windows
+    ):
+        aggregates.extend(means, stds, covs, sizes)
+    return aggregates
+
+
 class PrefixProvider(SketchProvider):
     """Prefix-aggregate acceleration over any :class:`SketchProvider`.
 
@@ -1030,48 +809,43 @@ class PrefixProvider(SketchProvider):
     * a wrapped :class:`MmapProvider` whose store carries *persisted*
       ``prefix_*`` arrays covering the whole store — adopted as read-only
       zero-copy views (nothing is built in memory);
-    * otherwise an in-memory build: one streaming pass over the wrapped
-      backend (each window record read once), run lazily up to the highest
-      window a query has needed so far — or eagerly at construction with
-      ``eager=True``. In-memory tables cost ``O(ns * n^2)`` floats, the
-      same order as an in-memory sketch.
+    * otherwise an in-memory build at construction: one streaming pass over
+      the wrapped backend (each window record read once). In-memory tables
+      cost ``O(ns * n^2)`` floats, the same order as an in-memory sketch.
+
+    Either way the tables are complete and immutable once ``__init__``
+    returns, so the wrapper is as safe to share as its base.
 
     Args:
         base: The wrapped sketch backend.
         chunk_windows: Window records folded per streaming build step.
-        eager: Build the full tables at construction. Required for
-            multi-threaded service execution over thread-safe bases (a lazy
-            build mutates shared state on the query path).
     """
 
     def __init__(
         self,
         base: SketchProvider,
         chunk_windows: int = 256,
-        eager: bool = False,
     ) -> None:
         if not isinstance(base, SketchProvider):
             raise DataError(f"expected a SketchProvider, got {type(base)!r}")
         if chunk_windows <= 0:
             raise SketchError("chunk_windows must be positive")
         self._base = base
-        self._chunk_windows = chunk_windows
-        self._aggregates = None
+        aggregates = None
         persisted = getattr(base, "persisted_prefix", None)
         if callable(persisted):
             aggregates = persisted()
-            # Adopt persisted tables only when they cover the whole store;
-            # partially built tables (append since the last build) are
-            # read-only and cannot be extended in place, so fall back to an
-            # in-memory build instead of serving a shrunken range.
-            if aggregates is not None and aggregates.covered >= base.n_windows:
-                self._aggregates = aggregates
-        if eager:
-            self._ensure(self.n_windows)
+        # Adopt persisted tables only when they cover the whole store;
+        # partially built tables (append since the last build) are read-only
+        # and cannot be extended in place, so build in memory instead of
+        # serving a shrunken range.
+        if aggregates is None or aggregates.covered < base.n_windows:
+            aggregates = _build_aggregates(base, chunk_windows)
+        self._aggregates = aggregates
 
     def __getattr__(self, name: str):
-        # Backend-specific surface (cache_hits, store, path, ...) passes
-        # through so callers introspect the wrapped provider transparently.
+        # Backend-specific surface (store, path, ...) passes through so
+        # callers introspect the wrapped provider transparently.
         # Underscored names stay local: they would recurse before __init__
         # binds _base, and protocol probes (__getstate__, ...) must see this
         # object, not the base.
@@ -1086,7 +860,7 @@ class PrefixProvider(SketchProvider):
 
     @property
     def aggregates(self):
-        """The prefix tables built or adopted so far (``None`` before use)."""
+        """The prefix tables, built or adopted at construction."""
         return self._aggregates
 
     @property
@@ -1095,16 +869,6 @@ class PrefixProvider(SketchProvider):
         # provenance reports that backend, with path="prefix" marking the
         # combination strategy.
         return self._base.backend_name
-
-    @property
-    def thread_safe_reads(self) -> bool:  # type: ignore[override]
-        # A lazy build mutates the tables on the query path; only a fully
-        # built wrapper over a thread-safe base is safe to share.
-        return (
-            self._base.thread_safe_reads
-            and self._aggregates is not None
-            and self._aggregates.covered >= self._base.n_windows
-        )
 
     @property
     def names(self) -> list[str]:
@@ -1143,28 +907,6 @@ class PrefixProvider(SketchProvider):
     def materialize(self, indices=None):
         return self._base.materialize(indices)
 
-    def _ensure(self, hi: int):
-        """Tables covering at least window ``hi``, extending lazily."""
-        from repro.core.prefix import PrefixAggregates
-
-        aggregates = self._aggregates
-        if aggregates is None:
-            n_windows = self._base.n_windows
-            indices = np.arange(n_windows, dtype=np.int64)
-            means, _, sizes = self._base.window_stats(indices)
-            means = np.ascontiguousarray(means, dtype=np.float64)
-            sizes = np.asarray(sizes, dtype=np.float64)
-            offsets = means @ sizes / float(sizes.sum())
-            aggregates = PrefixAggregates.allocate(offsets, n_windows)
-            self._aggregates = aggregates
-        if aggregates.covered < hi:
-            pending = np.arange(aggregates.covered, hi, dtype=np.int64)
-            for means, stds, sizes, covs in self._base.iter_window_chunks(
-                pending, self._chunk_windows
-            ):
-                aggregates.extend(means, stds, covs, sizes)
-        return aggregates
-
     def prefix_range(self, selection):
         bounds = _prefix_bounds(selection)
         if bounds is None or bounds[1] > self.n_windows:
@@ -1179,7 +921,7 @@ class PrefixProvider(SketchProvider):
                 f"prefix range [{lo}, {hi}) outside the sketched windows "
                 f"[0, {self.n_windows})"
             )
-        return combine_matrix_prefix(self._ensure(hi), lo, hi, fragments)
+        return combine_matrix_prefix(self._aggregates, lo, hi, fragments)
 
     def prefix_row(self, lo, hi, row, fragments=()):
         from repro.core.prefix import combine_row_prefix
@@ -1189,4 +931,4 @@ class PrefixProvider(SketchProvider):
                 f"prefix range [{lo}, {hi}) outside the sketched windows "
                 f"[0, {self.n_windows})"
             )
-        return combine_row_prefix(self._ensure(hi), lo, hi, row, fragments)
+        return combine_row_prefix(self._aggregates, lo, hi, row, fragments)

@@ -21,14 +21,12 @@ the SQLite store standing in for PostgreSQL:
   * mmap-backed providers hand workers the store *directory path* — each
     worker re-maps the arrays in its own process and reads its row block
     zero-copy through the OS page cache;
-  * SQLite-backed providers (and the legacy ``store_path`` argument) hand
-    workers the database path — each worker opens its own connection, as in
-    §3.4;
-  * every other provider (in-memory sketches, chunked builds, stores without
-    a filesystem path) streams the selection's covariance tensor into one
-    ``multiprocessing.shared_memory`` block that all workers attach to and
-    slice — the tensor crosses the process boundary zero times instead of
-    being pickled per worker.
+  * ``store_path=`` (a SQLite database) hands workers the database path —
+    each worker opens its own connection, as in §3.4;
+  * every other provider (in-memory sketches, chunked builds) streams the
+    selection's covariance tensor into one ``multiprocessing.shared_memory``
+    block that all workers attach to and slice — the tensor crosses the
+    process boundary zero times instead of being pickled per worker.
 
 ``n_workers=1`` short-circuits to in-process execution (no fork, no shared
 memory), which keeps tests deterministic and makes the worker functions
@@ -468,11 +466,10 @@ def parallel_query(
         provider: Any :class:`~repro.engine.providers.SketchProvider`
             backend, mutually exclusive with ``sketch``/``store_path``.
             Mmap-backed providers hand workers the store directory (each
-            worker re-maps, zero-copy); SQLite-backed providers hand workers
-            the database path (own connections); every other backend streams
-            the selection's covariances into a ``multiprocessing``
-            shared-memory block that workers slice — nothing is materialized
-            into a :class:`Sketch` or pickled before fan-out.
+            worker re-maps, zero-copy); every other backend streams the
+            selection's covariances into a ``multiprocessing`` shared-memory
+            block that workers slice — nothing is materialized into a
+            :class:`Sketch` or pickled before fan-out.
 
     Returns:
         A :class:`ParallelQueryResult` with the full matrix and read/calc
@@ -502,32 +499,17 @@ def parallel_query(
                 n_series = len(store.read_metadata().names)
         spec = {"mode": "sqlite", "path": str(store_path)}
     else:
-        from repro.engine.providers import (
-            MmapProvider,
-            PrefixProvider,
-            StoreProvider,
-        )
-        from repro.storage.mmap_store import MmapStore
+        from repro.engine.providers import MmapProvider, PrefixProvider
 
         if isinstance(provider, PrefixProvider):
             # Workers compute row blocks from window records; the wrapper's
             # prefix tables are irrelevant to them, and unwrapping restores
-            # the wrapped backend's path handoff (mmap re-map / own SQLite
-            # connections) instead of the generic shared-memory ship.
+            # the wrapped backend's mmap re-map handoff instead of the
+            # generic shared-memory ship.
             provider = provider.base
         n_series = provider.n_series
         if isinstance(provider, MmapProvider):
             spec = {"mode": "mmap", "path": provider.path}
-        elif isinstance(provider, StoreProvider):
-            # The handoff must match the store *kind*, not just the presence
-            # of a .path — both SQLite files and mmap directories expose one.
-            if isinstance(provider.store, MmapStore):
-                spec = {"mode": "mmap", "path": provider.store.path}
-            elif (
-                isinstance(provider.store, SqliteSketchStore)
-                and provider.store.path is not None
-            ):
-                spec = {"mode": "sqlite", "path": provider.store.path}
 
     partitions = partition_rows(n_series, n_workers)
     serial = n_workers == 1 or len(partitions) == 1
@@ -553,8 +535,8 @@ def parallel_query(
         start = time.perf_counter()
         if serial:
             if provider is not None:
-                # In-process, use the provider in hand (its open maps, LRU
-                # cache) rather than re-opening the store through the spec.
+                # In-process, use the provider in hand (its open maps)
+                # rather than re-opening the store through the spec.
                 results = [
                     _provider_partition(rows, task_indices, provider)
                     for rows in partitions

@@ -1,15 +1,18 @@
-"""Sketch persistence: in-memory and disk-based (SQLite) stores.
+"""Sketch persistence: in-memory, SQLite and memory-mapped stores.
 
 The sketch *providers* (:mod:`repro.engine.providers`) are re-exported here
-for convenience — ``StoreProvider`` is how a persisted store plugs straight
-into the query engines::
+for convenience. A memory-mapped store serves queries zero-copy through
+``MmapProvider``; a SQLite store is the interchange and archival format,
+loaded whole into an ``InMemoryProvider`` (or converted to mmap with
+``tsubasa convert``)::
 
-    from repro.storage import SqliteSketchStore, StoreProvider
+    from repro.storage import InMemoryProvider, SqliteSketchStore, load_sketch
     from repro import TsubasaHistorical
 
     with SqliteSketchStore("sketch.db") as store:
-        engine = TsubasaHistorical(provider=StoreProvider(store))
-        network = engine.network((8759, 3000), theta=0.75)
+        provider = InMemoryProvider(load_sketch(store))
+    engine = TsubasaHistorical(provider=provider)
+    network = engine.network((8759, 3000), theta=0.75)
 
 (The re-export is lazy to keep the storage ↔ engine import graph acyclic.)
 """
@@ -43,7 +46,6 @@ __all__ = [
     "convert_store",
     "SketchProvider",
     "InMemoryProvider",
-    "StoreProvider",
     "ChunkedBuildProvider",
     "MmapProvider",
 ]
@@ -52,7 +54,6 @@ _PROVIDER_EXPORTS = frozenset(
     {
         "SketchProvider",
         "InMemoryProvider",
-        "StoreProvider",
         "ChunkedBuildProvider",
         "MmapProvider",
     }

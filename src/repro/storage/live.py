@@ -23,7 +23,7 @@ if TYPE_CHECKING:
 from repro.core.sketch import build_sketch
 from repro.exceptions import StreamError
 from repro.storage.base import SketchStore, StoreMetadata, WindowRecord
-from repro.storage.serialize import save_sketch
+from repro.storage.serialize import load_sketch, save_sketch
 
 __all__ = ["PersistentRealtime"]
 
@@ -118,15 +118,22 @@ class PersistentRealtime:
             A :class:`PersistentRealtime` whose network state equals the one
             the previous process would have had (tested).
         """
-        from repro.engine.providers import StoreProvider
+        from repro.engine.providers import InMemoryProvider
 
-        provider = StoreProvider(store, cache_windows=0)
-        if query_windows > provider.n_windows:
+        n_windows = store.window_count()
+        if not 0 < query_windows <= n_windows:
             raise StreamError(
-                f"store holds {provider.n_windows} windows, cannot resume a "
+                f"store holds {n_windows} windows, cannot resume a "
                 f"{query_windows}-window query"
             )
+        tail = list(range(n_windows - query_windows, n_windows))
+        provider = InMemoryProvider(load_sketch(store, tail))
         engine = TsubasaRealtime.from_provider(provider, query_windows)
+        # The tail's clock starts at its first window; the stream's clock
+        # counts every persisted point, and every window before the tail is
+        # whole (only the last window of a store may be short).
+        head = (n_windows - query_windows) * provider.window_size
+        engine._timestamp += head  # shared internal, as in _pending_buffer
         return cls(engine, store)
 
     def ingest(self, values: np.ndarray) -> int:

@@ -24,7 +24,7 @@ buffer, and a query touches exactly the bytes it consumes. The dedicated
 into the Lemma 1 kernels, which reduce on packed rows and unpack each answer
 once; :class:`MmapStore` also implements the full
 :class:`~repro.storage.base.SketchStore` contract (unpacking ``pairs`` per
-record) so every generic code path (``save_sketch``, ``StoreProvider``,
+record) so every generic code path (``save_sketch``, ``load_sketch``,
 ``tsubasa convert``) runs unchanged.
 
 Layout version 2 introduced the packed tables. Version-1 stores (full

@@ -79,7 +79,7 @@ class StreamIngestor:
 
         Seeds a :class:`~repro.core.realtime.TsubasaRealtime` engine over the
         provider's trailing ``query_windows`` basic windows (e.g. a
-        :class:`~repro.engine.providers.StoreProvider` over the sketches a
+        :class:`~repro.engine.providers.MmapProvider` over the sketches a
         previous process persisted) and wraps it in an ingestor, so a crashed
         or restarted consumer resumes streaming without replaying raw data.
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.sketch import build_sketch
 from repro.data.synthetic import generate_station_dataset
+from repro.engine.providers import InMemoryProvider
 
 
 @pytest.fixture(scope="session")
@@ -37,3 +38,20 @@ def small_sketch(small_matrix):
 def rng():
     """A deterministic random generator for ad-hoc test data."""
     return np.random.default_rng(1234)
+
+
+class CountingProvider(InMemoryProvider):
+    """In-memory provider counting the window records its queries stream."""
+
+    windows_read = 0
+
+    def iter_window_chunks(self, indices, chunk_windows):
+        for chunk in super().iter_window_chunks(indices, chunk_windows):
+            self.windows_read += chunk[2].size
+            yield chunk
+
+
+@pytest.fixture(scope="session")
+def counting_provider():
+    """The :class:`CountingProvider` class (call it with a sketch)."""
+    return CountingProvider

@@ -140,9 +140,7 @@ class TestMmapBackend:
     def test_query_backends_agree(self, store_file, mmap_store_dir, capsys):
         for args in (
             ["--store", str(store_file)],
-            ["--store", str(store_file), "--backend", "store"],
             ["--store", str(mmap_store_dir), "--backend", "mmap"],
-            ["--store", str(mmap_store_dir), "--backend", "store"],
             ["--store", str(mmap_store_dir)],
         ):
             assert main(
@@ -150,7 +148,7 @@ class TestMmapBackend:
             ) == 0
         outputs = capsys.readouterr().out.split("top 3 correlated pairs:")
         pair_lists = [o.strip() for o in outputs if o.strip()]
-        assert len(pair_lists) == 5
+        assert len(pair_lists) == 3
         assert len(set(pair_lists)) == 1
 
     def test_backend_mmap_rejects_sqlite_store(self, store_file, capsys):
@@ -164,7 +162,9 @@ class TestMmapBackend:
             ]
         )
         assert code == 2  # SketchError
-        assert "memory-mapped" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "memory-mapped" in err
+        assert "tsubasa convert" in err and "--backend memory" in err
 
 
 class TestConvert:
@@ -388,17 +388,6 @@ class TestServe:
         assert deduplicated == 5
         assert "1 matrices computed" in err
 
-    def test_store_backend_serves(self, store_file, monkeypatch, capsys):
-        code, responses, _ = self.serve(
-            monkeypatch, capsys, store_file,
-            ['{"op": "matrix", "window": {"first_window": 0, "n_windows": 4}}'],
-            extra_args=["--backend", "store"],
-        )
-        assert code == 0
-        assert responses[0]["ok"]
-        assert responses[0]["provenance"]["backend"] == "store"
-        assert len(responses[0]["result"]["values"]) == 12
-
     def test_bad_requests_get_error_envelopes(
         self, store_file, monkeypatch, capsys
     ):
@@ -520,18 +509,6 @@ class TestServe:
         captured = capsys.readouterr()
         assert code == 0  # no traceback, no hang
         assert len(captured.out.splitlines()) == 1  # one response got out
-
-    def test_store_backend_rejects_multiple_workers(
-        self, store_file, monkeypatch, capsys
-    ):
-        """StoreProvider is not thread-safe; the service refuses workers>1."""
-        monkeypatch.setattr("sys.stdin", io.StringIO(""))
-        code = main(
-            ["serve", "--store", str(store_file), "--backend", "store",
-             "--workers", "4"]
-        )
-        assert code == 7  # ServiceError: service misconfiguration
-        assert "not safe for concurrent reads" in capsys.readouterr().err
 
 
 class TestSweep:

@@ -10,12 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api.client import (
-    AutoPolicy,
-    ParallelPolicy,
-    SerialPolicy,
-    TsubasaClient,
-)
+from repro.api.client import TsubasaClient
 from repro.api.spec import QuerySpec, WindowSpec
 from repro.approx.sketch import build_approx_sketch
 from repro.core.exact import query_correlation_matrix
@@ -34,11 +29,10 @@ from repro.engine.providers import (
     ChunkedBuildProvider,
     InMemoryProvider,
     MmapProvider,
-    StoreProvider,
 )
 from repro.exceptions import DataError, SketchError
 from repro.storage.mmap_store import MmapStore
-from repro.storage.serialize import save_sketch
+from repro.storage.serialize import load_sketch, save_sketch
 from repro.storage.sqlite_store import SqliteSketchStore
 
 B = 50
@@ -72,13 +66,19 @@ def reference(sketch, data):
     return matrix
 
 
+#: Provenance backend names where the parametrized id differs.
+BACKEND_NAMES = {"store": "memory"}
+
+
 def make_provider(backend: str, sketch, data, tmp_path):
     if backend == "memory":
         return InMemoryProvider(sketch, data=data)
     if backend == "store":
-        store = SqliteSketchStore(tmp_path / "client.db")
-        save_sketch(store, sketch)
-        return StoreProvider(store, data=data)
+        # A SQLite store serves through the in-memory backend once loaded:
+        # the round trip must not change a single bit.
+        with SqliteSketchStore(tmp_path / "client.db") as store:
+            save_sketch(store, sketch)
+            return InMemoryProvider(load_sketch(store), data=data)
     if backend == "mmap":
         with MmapStore(tmp_path / "client.mm") as store:
             save_sketch(store, sketch)
@@ -107,7 +107,7 @@ class TestBitIdentity:
             )
         else:
             np.testing.assert_array_equal(result.value.values, reference(window))
-        assert result.provenance.backend == backend
+        assert result.provenance.backend == BACKEND_NAMES.get(backend, backend)
 
     def test_engine_method_delegation_is_bit_identical(
         self, sketch, data, reference
@@ -208,54 +208,9 @@ class TestOperators:
             json.dumps(result.payload())  # must not raise
 
 
-class TestPolicies:
-    def test_parallel_policy_matches_serial(self, sketch, data):
-        serial = TsubasaClient(provider=InMemoryProvider(sketch))
-        parallel = TsubasaClient(
-            provider=InMemoryProvider(sketch), policy=ParallelPolicy(2)
-        )
-        spec = QuerySpec(op="matrix", window=ALIGNED)
-        reference = serial.execute(spec)
-        result = parallel.execute(spec)
-        assert result.provenance.execution == "parallel"
-        assert result.provenance.n_workers == 2
-        np.testing.assert_allclose(
-            result.value.values, reference.value.values, atol=1e-12
-        )
-
-    def test_parallel_policy_falls_back_serial_for_fragments(
-        self, sketch, data
-    ):
-        client = TsubasaClient(
-            provider=InMemoryProvider(sketch, data=data),
-            policy=ParallelPolicy(2),
-        )
-        result = client.execute(QuerySpec(op="matrix", window=ARBITRARY))
-        assert result.provenance.execution == "serial"
-
-    def test_auto_policy_stays_serial_when_small(self, sketch):
-        client = TsubasaClient(
-            provider=InMemoryProvider(sketch), policy=AutoPolicy(n_workers=2)
-        )
-        result = client.execute(QuerySpec(op="matrix", window=ALIGNED))
-        assert result.provenance.execution == "serial"
-
-    def test_auto_policy_goes_parallel_when_large(self, sketch):
-        client = TsubasaClient(
-            provider=InMemoryProvider(sketch),
-            policy=AutoPolicy(n_workers=2, min_cells=1),
-        )
-        result = client.execute(QuerySpec(op="matrix", window=ALIGNED))
-        assert result.provenance.execution == "parallel"
-
-    def test_serial_policy_is_default(self, sketch):
-        client = TsubasaClient(provider=InMemoryProvider(sketch))
-        assert isinstance(client._policy, SerialPolicy)
-
-
 class TestExecuteMany:
-    def test_shares_matrix_computations(self, sketch, data, tmp_path):
-        provider = make_provider("store", sketch, data, tmp_path)
+    def test_shares_matrix_computations(self, sketch, data, counting_provider):
+        provider = counting_provider(sketch, data=data)
         client = TsubasaClient(provider=provider)
         reads_before = provider.windows_read
         results = client.execute_many(

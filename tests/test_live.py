@@ -91,6 +91,21 @@ class TestResume:
             with pytest.raises(StreamError):
                 PersistentRealtime.resume(store, query_windows=10)
 
+    def test_resume_keeps_the_stream_clock(self, stream_data, tmp_path):
+        with SqliteSketchStore(tmp_path / "clock.db") as store:
+            live = PersistentRealtime.bootstrap(stream_data[:, :300], 50, store)
+            live.ingest(stream_data[:, 300:500])
+            resumed = PersistentRealtime.resume(store, query_windows=6)
+            assert resumed.engine.now == live.engine.now == 500
+            resumed.ingest(stream_data[:, 500:550])
+            assert resumed.engine.now == 550
+
+    def test_resume_rejects_empty_query(self, stream_data, tmp_path):
+        with SqliteSketchStore(tmp_path / "empty_query.db") as store:
+            PersistentRealtime.bootstrap(stream_data[:, :100], 50, store)
+            with pytest.raises(StreamError):
+                PersistentRealtime.resume(store, query_windows=0)
+
 
 class TestMetadataGuards:
     def test_mismatched_names_rejected(self, stream_data):

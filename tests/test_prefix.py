@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api.client import AutoPolicy, TsubasaClient
+from repro.api.client import TsubasaClient
 from repro.api.spec import QuerySpec, WindowSpec
 from repro.core.exact import TsubasaHistorical
 from repro.core.lemma1 import combine_matrix, combine_row
@@ -25,12 +25,11 @@ from repro.engine.providers import (
     InMemoryProvider,
     MmapProvider,
     PrefixProvider,
-    StoreProvider,
 )
 from repro.exceptions import SketchError, StorageError
 from repro.storage.base import WindowRecord
 from repro.storage.mmap_store import MmapStore
-from repro.storage.serialize import save_sketch
+from repro.storage.serialize import load_sketch, save_sketch
 from repro.storage.sqlite_store import SqliteSketchStore
 
 
@@ -195,9 +194,11 @@ class TestPrefixProvider:
             self.spec()
         )
         assert reference.provenance.path == "direct"
+        with SqliteSketchStore(sqlite_path) as store:
+            loaded = load_sketch(store)
         providers = {
             "memory": PrefixProvider(InMemoryProvider(sketch)),
-            "store": PrefixProvider(StoreProvider(SqliteSketchStore(sqlite_path))),
+            "store": PrefixProvider(InMemoryProvider(loaded)),
             "mmap": MmapProvider(mmap_path),
             "mmap-wrapped": PrefixProvider(MmapProvider(mmap_path, prefix=False)),
         }
@@ -214,18 +215,17 @@ class TestPrefixProvider:
             )
 
     def test_backend_name_reports_wrapped_backend(self, sketch, stores):
-        sqlite_path, _ = stores
+        _, mmap_path = stores
         assert PrefixProvider(InMemoryProvider(sketch)).backend_name == "memory"
-        provider = PrefixProvider(StoreProvider(SqliteSketchStore(sqlite_path)))
-        assert provider.backend_name == "store"
+        provider = PrefixProvider(MmapProvider(mmap_path, prefix=False))
+        assert provider.backend_name == "mmap"
 
-    def test_lazy_build_covers_only_queried_windows(self, sketch):
+    def test_build_at_construction_covers_every_window(self, sketch):
         provider = PrefixProvider(InMemoryProvider(sketch), chunk_windows=8)
-        assert provider.aggregates is None
+        tables = provider.aggregates
+        assert tables.covered == sketch.n_windows  # before any query
         provider.prefix_matrix(0, 20)
-        assert provider.aggregates.covered == 20  # only what the query needed
-        provider.prefix_matrix(0, 60)
-        assert provider.aggregates.covered == 60
+        assert provider.aggregates is tables  # queries never rebuild
 
     def test_fragmented_and_noncontiguous_selections_delegate(
         self, sketch, data
@@ -260,33 +260,16 @@ class TestPrefixProvider:
         provider = PrefixProvider(MmapProvider(mmap_path))
         assert provider.aggregates is not None
         assert not provider.aggregates.writable  # mapped views, not a rebuild
-        assert provider.thread_safe_reads
-
-    def test_lazy_wrapper_is_not_thread_safe_until_built(self, sketch):
-        provider = PrefixProvider(InMemoryProvider(sketch))
-        assert not provider.thread_safe_reads
-        provider.prefix_matrix(0, sketch.n_windows)
-        assert provider.thread_safe_reads
 
     def test_delegates_backend_surface(self, sketch, stores):
         sqlite_path, _ = stores
-        provider = PrefixProvider(StoreProvider(SqliteSketchStore(sqlite_path)))
-        assert provider.cache_hits == 0  # passes through to the wrapped LRU
+        with SqliteSketchStore(sqlite_path) as store:
+            base = InMemoryProvider(load_sketch(store))
+        provider = PrefixProvider(base)
+        assert provider.sketch is base.sketch  # passes through to the base
         assert provider.n_windows == sketch.n_windows
         stats = provider.window_stats(np.arange(3))
         assert stats[0].shape == (sketch.n_series, 3)
-
-    def test_auto_policy_stays_serial_on_prefix_ranges(self, sketch):
-        policy = AutoPolicy(n_workers=4, min_cells=1)
-        client = TsubasaClient(
-            provider=PrefixProvider(InMemoryProvider(sketch)), policy=policy
-        )
-        result = client.execute(self.spec())
-        assert result.provenance.execution == "serial"
-        assert result.provenance.path == "prefix"
-        # Without prefix tables the same policy fans out.
-        plain = TsubasaClient(provider=InMemoryProvider(sketch), policy=policy)
-        assert plain.execute(self.spec()).provenance.execution == "parallel"
 
     def test_network_ops_ride_the_prefix_path(self, sketch, stores):
         _, mmap_path = stores
@@ -375,11 +358,10 @@ class TestNonAlignedRouting:
         assert within.provenance.path == "prefix"
 
     def test_without_raw_data_raises_before_table_reads(self, sketch, mmap_path):
-        lazy = PrefixProvider(InMemoryProvider(sketch))
-        for provider in (MmapProvider(mmap_path), lazy):
+        wrapped = PrefixProvider(InMemoryProvider(sketch))
+        for provider in (MmapProvider(mmap_path), wrapped):
             with pytest.raises(SketchError, match="not aligned"):
                 self.matrix(provider)
-        assert lazy.aggregates is None  # failed before building any table
 
     def test_pruned_network_on_non_aligned_window(self, data, mmap_path):
         theta = 0.36  # splits this fixture's pairs into edges and non-edges

@@ -14,11 +14,9 @@ from repro.engine.providers import (
     InMemoryProvider,
     MmapProvider,
     SketchProvider,
-    StoreProvider,
-    _LruRecordCache,
 )
 from repro.exceptions import DataError, SketchError, StorageError
-from repro.parallel.executor import parallel_query, parallel_sketch
+from repro.parallel.executor import parallel_query
 from repro.storage.memory import MemorySketchStore
 from repro.storage.mmap_store import MmapStore
 from repro.storage.serialize import load_sketch, save_sketch
@@ -33,13 +31,6 @@ def sqlite_store(small_sketch, tmp_path):
     save_sketch(store, small_sketch)
     yield store
     store.close()
-
-
-@pytest.fixture()
-def memory_store(small_sketch):
-    store = MemorySketchStore()
-    save_sketch(store, small_sketch)
-    return store
 
 
 @pytest.fixture()
@@ -104,94 +95,14 @@ class TestInMemoryProvider:
         np.testing.assert_array_equal(subset.covs, small_sketch.covs[[0, 3]])
 
 
-class TestStoreProvider:
-    def test_metadata_without_scanning(self, sqlite_store, small_sketch):
-        provider = StoreProvider(sqlite_store)
-        assert provider.names == small_sketch.names
-        assert provider.n_windows == 12
-        assert provider.length == 600
-        np.testing.assert_array_equal(provider.sizes, small_sketch.sizes)
-
-    def test_trailing_short_window_sizes(self, tmp_path, rng):
-        data = rng.normal(size=(5, 130))  # 2 full windows of 50 + tail of 30
-        sketch = build_sketch(data, window_size=50)
-        with SqliteSketchStore(tmp_path / "tail.db") as store:
-            save_sketch(store, sketch)
-            provider = StoreProvider(store)
-            np.testing.assert_array_equal(provider.sizes, [50, 50, 30])
-            assert provider.length == 130
-
-    def test_window_stats_match_sketch(self, sqlite_store, small_sketch):
-        provider = StoreProvider(sqlite_store)
-        idx = np.array([1, 4, 9])
-        means, stds, sizes = provider.window_stats(idx)
-        np.testing.assert_allclose(means, small_sketch.means[:, idx])
-        np.testing.assert_allclose(stds, small_sketch.stds[:, idx])
-        np.testing.assert_array_equal(sizes, small_sketch.sizes[idx])
-
-    def test_cov_rows_match_sketch(self, sqlite_store, small_sketch):
-        provider = StoreProvider(sqlite_store)
-        idx = np.arange(6)
-        rows = np.array([0, 7, 19])
-        block = provider.cov_rows(idx, rows)
-        np.testing.assert_allclose(block, small_sketch.covs[idx][:, rows, :])
-
-    def test_lru_cache_hits_and_bound(self, sqlite_store):
-        provider = StoreProvider(sqlite_store, cache_windows=4, read_batch=2)
-        idx = np.arange(12)
-        provider.window_stats(idx)
-        assert provider.cache_misses == 12
-        assert provider.windows_read == 12
-        # A second pass over the last cached windows hits the cache.
-        provider.window_stats(np.arange(8, 12))
-        assert provider.cache_hits == 4
-        assert provider.windows_read == 12
-        # Evicted windows are re-read.
-        provider.window_stats(np.arange(0, 4))
-        assert provider.windows_read == 16
-
-    def test_cache_disabled(self, sqlite_store):
-        provider = StoreProvider(sqlite_store, cache_windows=0)
-        provider.window_stats(np.arange(4))
-        provider.window_stats(np.arange(4))
-        assert provider.cache_hits == 0
-        assert provider.windows_read == 8
-
-    def test_rejects_approx_store(self, small_matrix, tmp_path):
-        from repro.approx.sketch import build_approx_sketch
-        from repro.storage.serialize import save_approx_sketch
-
-        approx = build_approx_sketch(small_matrix, 50, coeff_fraction=0.5)
-        with SqliteSketchStore(tmp_path / "approx.db") as store:
-            save_approx_sketch(store, approx)
-            with pytest.raises(StorageError):
-                StoreProvider(store)
-
-    def test_rejects_empty_store(self, tmp_path):
-        from repro.storage.base import StoreMetadata
-
-        with SqliteSketchStore(tmp_path / "empty.db") as store:
-            store.write_metadata(StoreMetadata(names=("a",), window_size=10))
-            with pytest.raises(StorageError):
-                StoreProvider(store)
-
-    def test_memory_store_backend(self, memory_store, small_sketch):
-        provider = StoreProvider(memory_store)
-        engine = TsubasaHistorical(provider=provider)
-        reference = TsubasaHistorical(provider=InMemoryProvider(small_sketch))
-        got = engine.correlation_matrix((599, 600))
-        want = reference.correlation_matrix((599, 600))
-        np.testing.assert_allclose(got.values, want.values, atol=1e-12)
-
-
 class TestStoreBackedEngine:
-    """The acceptance path: TsubasaHistorical(provider=StoreProvider(...))."""
+    """A SQLite store loaded whole serves the engine like the in-memory sketch."""
 
     def test_aligned_query_matches_in_memory_engine(
         self, sqlite_store, small_matrix
     ):
         engine = TsubasaHistorical(
-            provider=StoreProvider(sqlite_store), chunk_windows=3
+            provider=InMemoryProvider(load_sketch(sqlite_store)), chunk_windows=3
         )
         reference = TsubasaHistorical(small_matrix, window_size=50)
         got = engine.correlation_matrix((599, 300))
@@ -203,8 +114,8 @@ class TestStoreBackedEngine:
         [(599, 73), (523, 317), (101, 51), (570, 491), (49, 30)],
     )
     def test_arbitrary_query_with_raw_data(self, sqlite_store, small_matrix, end, length):
-        """Store-backed arbitrary windows: head/tail fragments from raw data."""
-        provider = StoreProvider(sqlite_store, data=small_matrix)
+        """SQLite-loaded arbitrary windows: head/tail fragments from raw data."""
+        provider = InMemoryProvider(load_sketch(sqlite_store), data=small_matrix)
         engine = TsubasaHistorical(provider=provider, chunk_windows=4)
         reference = TsubasaHistorical(small_matrix, window_size=50)
         got = engine.correlation_matrix((end, length))
@@ -215,28 +126,16 @@ class TestStoreBackedEngine:
 
     def test_arbitrary_query_without_raw_data_raises(self, sqlite_store):
         """The keep_raw=False contract: sketch-only stores are aligned-only."""
-        engine = TsubasaHistorical(provider=StoreProvider(sqlite_store))
+        engine = TsubasaHistorical(
+            provider=InMemoryProvider(load_sketch(sqlite_store))
+        )
         with pytest.raises(SketchError, match="not aligned"):
             engine.correlation_matrix((599, 123))
 
-    def test_query_never_loads_full_tensor(self, sqlite_store):
-        """With a small chunk size and cache, peak resident windows stay bounded."""
-        provider = StoreProvider(sqlite_store, cache_windows=2, read_batch=2)
-        engine = TsubasaHistorical(provider=provider, chunk_windows=2)
-        engine.correlation_matrix((599, 600))
-        # Each of the 12 windows was read from the store exactly once (one
-        # record pass feeds both stats and covariances) and never all held
-        # at once — the cache kept <= 2.
-        assert provider.windows_read == 12
-        assert len(provider._cache) <= 2
-
-    def test_repeated_indices_read_once(self, sqlite_store):
-        provider = StoreProvider(sqlite_store, cache_windows=0)
-        provider.cov_rows(np.array([3, 3, 3]), np.array([0]))
-        assert provider.windows_read == 1
-
     def test_pruned_network_off_store(self, sqlite_store, small_matrix):
-        engine = TsubasaHistorical(provider=StoreProvider(sqlite_store))
+        engine = TsubasaHistorical(
+            provider=InMemoryProvider(load_sketch(sqlite_store))
+        )
         reference = TsubasaHistorical(small_matrix, window_size=50)
         theta = 0.4
         result = engine.network_pruned((599, 600), theta)
@@ -245,63 +144,13 @@ class TestStoreBackedEngine:
         np.testing.assert_array_equal(result.matrix, exact)
 
     def test_network_construction(self, sqlite_store, small_matrix):
-        engine = TsubasaHistorical(provider=StoreProvider(sqlite_store))
+        engine = TsubasaHistorical(
+            provider=InMemoryProvider(load_sketch(sqlite_store))
+        )
         reference = TsubasaHistorical(small_matrix, window_size=50)
         got = engine.network((599, 400), theta=0.5)
         want = reference.network((599, 400), theta=0.5)
         assert got.edge_set() == want.edge_set()
-
-
-class TestLruRecordCache:
-    def test_capacity_zero_never_stores(self):
-        cache = _LruRecordCache(0)
-        cache.put(1, "a")
-        cache.put(2, "b")
-        assert len(cache) == 0
-        assert cache.get(1) is None
-        assert cache.get(2) is None
-        assert cache.hits == 0
-        assert cache.misses == 2
-
-    def test_capacity_none_is_unbounded(self):
-        cache = _LruRecordCache(None)
-        for i in range(1000):
-            cache.put(i, i)
-        assert len(cache) == 1000
-        assert cache.get(0) == 0
-        assert cache.get(999) == 999
-
-    def test_eviction_is_least_recently_used(self):
-        cache = _LruRecordCache(2)
-        cache.put(1, "a")
-        cache.put(2, "b")
-        assert cache.get(1) == "a"  # refresh 1; 2 is now LRU
-        cache.put(3, "c")
-        assert cache.get(2) is None  # evicted
-        assert cache.get(1) == "a"
-        assert cache.get(3) == "c"
-
-    def test_put_refreshes_recency(self):
-        cache = _LruRecordCache(2)
-        cache.put(1, "a")
-        cache.put(2, "b")
-        cache.put(1, "a2")  # re-put refreshes 1; 2 is now LRU
-        cache.put(3, "c")
-        assert cache.get(1) == "a2"
-        assert cache.get(2) is None
-
-    def test_rejects_negative_capacity(self):
-        with pytest.raises(DataError):
-            _LruRecordCache(-1)
-
-    def test_hit_miss_counters(self):
-        cache = _LruRecordCache(4)
-        cache.put(1, "a")
-        cache.get(1)
-        cache.get(1)
-        cache.get(9)
-        assert cache.hits == 2
-        assert cache.misses == 1
 
 
 class TestMmapProvider:
@@ -443,7 +292,7 @@ class TestProvidersBitIdentical:
             provider=InMemoryProvider(small_sketch)
         ).correlation_matrix(query).values
         via_sqlite = TsubasaHistorical(
-            provider=StoreProvider(sqlite_store)
+            provider=InMemoryProvider(load_sketch(sqlite_store))
         ).correlation_matrix(query).values
         via_mmap = TsubasaHistorical(
             provider=MmapProvider(mmap_dir)
@@ -459,7 +308,7 @@ class TestProvidersBitIdentical:
             provider=InMemoryProvider(small_sketch, data=small_matrix)
         ).correlation_matrix(query).values
         via_sqlite = TsubasaHistorical(
-            provider=StoreProvider(sqlite_store, data=small_matrix)
+            provider=InMemoryProvider(load_sketch(sqlite_store), data=small_matrix)
         ).correlation_matrix(query).values
         via_mmap = TsubasaHistorical(
             provider=MmapProvider(mmap_dir, data=small_matrix)
@@ -478,7 +327,7 @@ class TestPackedChunkContract:
     ):
         provider = {
             "memory": lambda: InMemoryProvider(small_sketch),
-            "sqlite": lambda: StoreProvider(sqlite_store),
+            "sqlite": lambda: InMemoryProvider(load_sketch(sqlite_store)),
             "mmap": lambda: MmapProvider(mmap_dir),
             "chunked": lambda: ChunkedBuildProvider(small_matrix, 50),
         }[backend]()
@@ -512,15 +361,6 @@ class TestChunkedBuildProvider:
             want = reference.correlation_matrix(query)
             np.testing.assert_allclose(got.values, want.values, atol=1e-10)
 
-    def test_cov_cache(self, small_matrix):
-        provider = ChunkedBuildProvider(
-            small_matrix, 50, chunk_rows=8, cache_windows=4
-        )
-        provider.covs(np.array([0, 1]))
-        assert provider.cache_misses == 2
-        provider.covs(np.array([0, 1]))
-        assert provider.cache_hits == 2
-
     def test_save_to_matches_save_sketch(self, small_matrix, small_sketch):
         provider = ChunkedBuildProvider(small_matrix, 50, chunk_rows=9)
         streamed = MemorySketchStore()
@@ -540,17 +380,6 @@ class TestChunkedBuildProvider:
 
 
 class TestProviderParallelQuery:
-    def test_store_provider_runs_disk_based(self, small_matrix, tmp_path):
-        path = tmp_path / "pq.db"
-        parallel_sketch(small_matrix, 50, n_workers=1, store_path=path)
-        with SqliteSketchStore(path) as store:
-            provider = _forbid_materialize(StoreProvider(store))
-            result = parallel_query(np.arange(12), n_workers=2, provider=provider)
-        np.testing.assert_allclose(
-            result.matrix, np.corrcoef(small_matrix), atol=1e-10
-        )
-        assert result.read_seconds > 0.0
-
     def test_in_memory_provider_fans_out_via_shared_memory(
         self, small_sketch, small_matrix
     ):
@@ -580,41 +409,11 @@ class TestProviderParallelQuery:
         )
         assert result.n_partitions == 1
 
-    def test_serial_store_provider_uses_open_provider(self, sqlite_store, small_matrix):
-        """n_workers=1 reads through the provider in hand (LRU and all)
-        instead of re-opening the store via the worker handoff."""
-        provider = StoreProvider(sqlite_store, cache_windows=None)
-        result = parallel_query(np.arange(12), n_workers=1, provider=provider)
-        np.testing.assert_allclose(
-            result.matrix, np.corrcoef(small_matrix), atol=1e-10
-        )
-        assert provider.windows_read == 12  # the reads went through it
-        parallel_query(np.arange(12), n_workers=1, provider=provider)
-        assert provider.windows_read == 12  # second call served by its LRU
-
     def test_chunked_build_provider_fans_out(self, small_matrix):
         provider = _forbid_materialize(
             ChunkedBuildProvider(small_matrix, 50, chunk_rows=8)
         )
         result = parallel_query(np.arange(12), n_workers=2, provider=provider)
-        np.testing.assert_allclose(
-            result.matrix, np.corrcoef(small_matrix), atol=1e-10
-        )
-
-    def test_memory_backed_store_provider_fans_out(self, memory_store, small_matrix):
-        """A store with no filesystem path still fans out (shared memory)."""
-        provider = _forbid_materialize(StoreProvider(memory_store))
-        result = parallel_query(np.arange(12), n_workers=2, provider=provider)
-        np.testing.assert_allclose(
-            result.matrix, np.corrcoef(small_matrix), atol=1e-10
-        )
-
-    def test_store_provider_over_mmap_store_fans_out(self, mmap_dir, small_matrix):
-        """A StoreProvider wrapping an MmapStore must get the mmap handoff,
-        not be mistaken for SQLite because its store exposes a .path."""
-        with MmapStore(mmap_dir) as store:
-            provider = _forbid_materialize(StoreProvider(store))
-            result = parallel_query(np.arange(12), n_workers=2, provider=provider)
         np.testing.assert_allclose(
             result.matrix, np.corrcoef(small_matrix), atol=1e-10
         )
@@ -627,7 +426,7 @@ class TestProviderParallelQuery:
             window_indices, n_workers=2, provider=InMemoryProvider(small_sketch)
         ).matrix
         via_sqlite = parallel_query(
-            window_indices, n_workers=2, provider=StoreProvider(sqlite_store)
+            window_indices, n_workers=2, store_path=sqlite_store.path
         ).matrix
         via_mmap = parallel_query(
             window_indices, n_workers=2, provider=MmapProvider(mmap_dir)
@@ -658,7 +457,7 @@ class TestRealtimeFromProvider:
         assert warm.now == streamed.now
 
     def test_trailing_window_selection(self, small_matrix, sqlite_store):
-        provider = StoreProvider(sqlite_store)
+        provider = InMemoryProvider(load_sketch(sqlite_store))
         warm = TsubasaRealtime.from_provider(provider, query_windows=4)
         np.testing.assert_allclose(
             warm.correlation_matrix().values,
@@ -689,7 +488,8 @@ class TestRealtimeFromProvider:
 
     def test_ingestor_from_provider(self, small_matrix, sqlite_store):
         ingestor = StreamIngestor.from_provider(
-            StoreProvider(sqlite_store), query_windows=6, theta=0.4
+            InMemoryProvider(load_sketch(sqlite_store)), query_windows=6,
+            theta=0.4,
         )
         assert ingestor.engine.now == 600
         extra = np.tile(small_matrix[:, -50:], (1, 2))
@@ -719,7 +519,7 @@ class TestProviderAbstraction:
     ):
         providers: list[SketchProvider] = [
             InMemoryProvider(small_sketch),
-            StoreProvider(sqlite_store),
+            InMemoryProvider(load_sketch(sqlite_store)),
             ChunkedBuildProvider(small_matrix, 50),
             MmapProvider(mmap_dir),
         ]
@@ -730,7 +530,7 @@ class TestProviderAbstraction:
             np.testing.assert_allclose(provider.covs(idx), reference, atol=1e-12)
 
     def test_materialize_roundtrip(self, sqlite_store, small_sketch):
-        materialized = StoreProvider(sqlite_store).materialize()
+        materialized = InMemoryProvider(load_sketch(sqlite_store)).materialize()
         np.testing.assert_allclose(materialized.covs, small_sketch.covs)
         np.testing.assert_array_equal(materialized.sizes, small_sketch.sizes)
         assert materialized.names == small_sketch.names

@@ -31,11 +31,10 @@ from repro.core.sketch import build_sketch
 from repro.engine.providers import (
     InMemoryProvider,
     MmapProvider,
-    StoreProvider,
 )
 from repro.exceptions import ServiceError, SketchError, StreamError
 from repro.storage.mmap_store import MmapStore
-from repro.storage.serialize import save_sketch
+from repro.storage.serialize import load_sketch, save_sketch
 from repro.storage.sqlite_store import SqliteSketchStore
 from repro.streams.ingestion import StreamIngestor
 from repro.streams.sources import ReplaySource, SyntheticSource
@@ -221,9 +220,8 @@ class TestRemoteExecution:
             path = tmp_path / "sketch.db"
             with SqliteSketchStore(path) as store:
                 save_sketch(store, sketch)
-            make_provider = lambda: StoreProvider(  # noqa: E731
-                SqliteSketchStore(path)
-            )
+                loaded = load_sketch(store)
+            make_provider = lambda: InMemoryProvider(loaded)  # noqa: E731
         else:
             path = tmp_path / "sketch.mm"
             with MmapStore(path) as store:

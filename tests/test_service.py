@@ -8,6 +8,7 @@ duplicate window selections.
 from __future__ import annotations
 
 import asyncio
+import sys
 import time
 
 import numpy as np
@@ -17,10 +18,15 @@ from repro.api.client import TsubasaClient
 from repro.api.service import TsubasaService, run_specs
 from repro.api.spec import QuerySpec, WindowSpec
 from repro.core.sketch import build_sketch
-from repro.engine.providers import InMemoryProvider, MmapProvider, StoreProvider
+from repro.engine.providers import (
+    ChunkedBuildProvider,
+    InMemoryProvider,
+    MmapProvider,
+    PrefixProvider,
+)
 from repro.exceptions import ServiceError, SketchError
 from repro.storage.mmap_store import MmapStore
-from repro.storage.serialize import save_sketch
+from repro.storage.serialize import load_sketch, save_sketch
 from repro.storage.sqlite_store import SqliteSketchStore
 
 B = 50
@@ -87,73 +93,49 @@ def assert_identical_to_serial(results, serial_client, specs):
             assert got == want
 
 
-class TestConcurrentStoreProvider:
-    def test_32_concurrent_specs_bit_identical_and_coalesced(
-        self, sketch, data, tmp_path
-    ):
-        store = SqliteSketchStore(tmp_path / "svc.db")
-        save_sketch(store, sketch)
-        shared = StoreProvider(store, cache_windows=64)
-        client = TsubasaClient(provider=shared)
-        specs = overlapping_specs(40)
-
-        async def drive():
-            async with TsubasaService(client) as service:
-                results = await asyncio.gather(
-                    *(service.submit(spec) for spec in specs)
-                )
-                return results, service.stats()
-
-        results, stats = asyncio.run(drive())
-        assert stats.submitted == 40
-        assert stats.completed == 40
-        assert stats.failed == 0
-        # 5 distinct windows, 40 requests: coalescing must have fired.
-        assert stats.coalesced > 0
-        assert stats.matrices_computed < len(specs)
-        assert 0.0 < stats.coalesce_rate <= 1.0
-        # Bit-identity against a fresh serial client on its own provider.
-        serial_store = SqliteSketchStore(tmp_path / "svc.db")
-        serial = TsubasaClient(provider=StoreProvider(serial_store))
-        assert_identical_to_serial(results, serial, specs)
-
-    def test_lru_reads_each_window_once(self, sketch, data, tmp_path):
-        store = SqliteSketchStore(tmp_path / "svc2.db")
-        save_sketch(store, sketch)
-        shared = StoreProvider(store, cache_windows=64)
-        client = TsubasaClient(provider=shared)
-        specs = overlapping_specs(32)
-
-        async def drive():
-            async with TsubasaService(client) as service:
-                results = await asyncio.gather(
-                    *(service.submit(spec) for spec in specs)
-                )
-                return results, service.stats()
-
-        _, stats = asyncio.run(drive())
-        # The provider's LRU alone reads each of the pool's 12 basic windows
-        # from the store exactly once, however the matrices overlap.
-        assert stats.completed == 32
-        assert shared.windows_read == 12
+def make_shared_provider(backend: str, sketch, data, tmp_path):
+    if backend == "mmap":
+        path = tmp_path / "svc.mm"
+        if not path.exists():
+            with MmapStore(path) as store:
+                save_sketch(store, sketch)
+        return MmapProvider(path)
+    if backend == "memory":
+        return InMemoryProvider(sketch)
+    if backend == "chunked":
+        return ChunkedBuildProvider(data, B)
+    if backend == "prefix":
+        return PrefixProvider(InMemoryProvider(sketch))
+    raise AssertionError(backend)
 
 
 class TestConcurrentMmapProvider:
-    def test_32_concurrent_specs_multithreaded(self, sketch, data, tmp_path):
-        with MmapStore(tmp_path / "svc.mm") as store:
-            save_sketch(store, sketch)
-        shared = MmapProvider(tmp_path / "svc.mm")
+    @pytest.mark.parametrize("backend", ["mmap", "memory", "chunked", "prefix"])
+    def test_32_concurrent_specs_multithreaded(
+        self, backend, sketch, data, tmp_path
+    ):
+        shared = make_shared_provider(backend, sketch, data, tmp_path)
         client = TsubasaClient(provider=shared)
         specs = overlapping_specs(48)
 
-        # The mmap arrays are read-only — multiple executor threads may
-        # compute matrices concurrently over the one shared mapping.
-        results, stats = run_specs(client, specs, max_workers=4)
+        # Every provider is read-only after construction — more executor
+        # threads than cores compute matrices concurrently over the one
+        # shared backend, switching as often as the interpreter allows.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results, stats = run_specs(client, specs, max_workers=4)
+        finally:
+            sys.setswitchinterval(interval)
         assert stats.completed == 48
+        assert stats.failed == 0
         assert stats.coalesced > 0
-        assert stats.backend_latency["mmap"].count == stats.matrices_computed
-        assert stats.backend_latency["mmap"].mean_seconds > 0.0
-        serial = TsubasaClient(provider=MmapProvider(tmp_path / "svc.mm"))
+        latency = stats.backend_latency[shared.backend_name]
+        assert latency.count == stats.matrices_computed
+        assert latency.mean_seconds > 0.0
+        serial = TsubasaClient(
+            provider=make_shared_provider(backend, sketch, data, tmp_path)
+        )
         assert_identical_to_serial(results, serial, specs)
 
     def test_duplicate_specs_coalesce_fully(self, sketch, tmp_path):
@@ -216,13 +198,6 @@ class TestErrorsAndLifecycle:
         assert stats.failed == 1
         assert stats.completed == 1
         assert ok.value.values.shape == (sketch.n_series, sketch.n_series)
-
-    def test_multiworker_rejected_for_unsafe_backend(self, sketch, tmp_path):
-        store = SqliteSketchStore(tmp_path / "mt.db")
-        save_sketch(store, sketch)
-        client = TsubasaClient(provider=StoreProvider(store))
-        with pytest.raises(ServiceError, match="concurrent reads"):
-            TsubasaService(client, max_workers=4)
 
     def test_submit_requires_started_service(self, sketch):
         client = TsubasaClient(provider=InMemoryProvider(sketch))
@@ -397,9 +372,9 @@ class TestResultCache:
         assert stats.matrices_computed == 5
 
     def test_cached_results_match_fresh_store_queries(self, sketch, tmp_path):
-        store = SqliteSketchStore(tmp_path / "cache.db")
-        save_sketch(store, sketch)
-        client = TsubasaClient(provider=StoreProvider(store, cache_windows=64))
+        with SqliteSketchStore(tmp_path / "cache.db") as store:
+            save_sketch(store, sketch)
+            client = TsubasaClient(provider=InMemoryProvider(load_sketch(store)))
         specs = overlapping_specs(24)
 
         async def drive():
@@ -409,15 +384,14 @@ class TestResultCache:
 
         results, stats = asyncio.run(drive())
         assert stats.result_cache_hits > 0
-        serial = TsubasaClient(
-            provider=StoreProvider(SqliteSketchStore(tmp_path / "cache.db"))
-        )
+        with SqliteSketchStore(tmp_path / "cache.db") as store:
+            serial = TsubasaClient(provider=InMemoryProvider(load_sketch(store)))
         assert_identical_to_serial(results, serial, specs)
 
-    def test_cached_execution_reports_no_provider_reads(self, sketch, tmp_path):
-        store = SqliteSketchStore(tmp_path / "cache2.db")
-        save_sketch(store, sketch)
-        provider = StoreProvider(store, cache_windows=0)  # no record LRU
+    def test_cached_execution_reports_no_provider_reads(
+        self, sketch, counting_provider
+    ):
+        provider = counting_provider(sketch)
         client = TsubasaClient(provider=provider)
         spec = QuerySpec(op="matrix", window=WindowSpec(end=599, length=400))
 
@@ -430,6 +404,7 @@ class TestResultCache:
 
         result, before, after = asyncio.run(drive())
         assert result.provenance.cache
+        assert before > 0  # the first submit streamed the window records
         assert after == before  # replay touched no window records
         assert result.provenance.cache_hits == 0
         assert result.provenance.cache_misses == 0

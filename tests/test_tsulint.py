@@ -602,6 +602,97 @@ def test_tsu008_suppression_with_reason(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# TSU009 — sketch providers are read-only after construction
+
+
+def test_tsu009_flags_provider_state_writes(tmp_path):
+    write_tree(
+        tmp_path,
+        {
+            "src/repro/engine/providers.py": """\
+            class SketchProvider:
+                pass
+
+            class CachedProvider(SketchProvider):
+                def __init__(self):
+                    self.reads = 0
+                    self._cache = {}
+
+                def read(self, i):
+                    self.reads += 1
+                    self._cache[i] = i
+                    self._state.rows = i
+                    self.a, self.b = i, i
+                    self.last: int = i
+
+            class Wrapper(CachedProvider):
+                def build(self):
+                    self._tables = []
+            """
+        },
+    )
+    diagnostics = run(tmp_path, select={"TSU009"})
+    assert codes(diagnostics) == ["TSU009"] * 6
+    assert [d.line for d in diagnostics] == [10, 11, 12, 13, 14, 18]
+    assert "CachedProvider.read" in diagnostics[0].message
+    assert "Wrapper.build" in diagnostics[-1].message
+
+
+def test_tsu009_init_locals_and_other_classes_pass(tmp_path):
+    write_tree(
+        tmp_path,
+        {
+            "src/repro/engine/providers.py": """\
+            class SketchProvider:
+                def helper(self):
+                    return 1
+
+            class ReadOnlyProvider(SketchProvider):
+                def __init__(self, tables):
+                    self._tables = tables
+                    self._tables[0] = 0
+
+                def read(self, i):
+                    rows = self._tables[i]
+                    rows[0] = 1
+                    self._tables.extend([i])
+                    return rows
+
+            class Counter:
+                def bump(self):
+                    self.count = 1
+            """,
+            "src/repro/api/client.py": """\
+            class SketchProvider:
+                pass
+
+            class Elsewhere(SketchProvider):
+                def read(self):
+                    self.count = 1
+            """,
+        },
+    )
+    assert run(tmp_path, select={"TSU009"}) == []
+
+
+def test_tsu009_suppression_with_reason(tmp_path):
+    write_tree(
+        tmp_path,
+        {
+            "src/repro/engine/providers.py": """\
+            class SketchProvider:
+                pass
+
+            class Provider(SketchProvider):
+                def read(self):
+                    self.reads = 1  # tsulint: disable=TSU009 -- test fixture
+            """
+        },
+    )
+    assert run(tmp_path, select={"TSU009"}, require_reasons=True) == []
+
+
+# ---------------------------------------------------------------------------
 # Suppressions
 
 
@@ -696,6 +787,7 @@ def test_rule_registry_is_complete():
         "TSU006",
         "TSU007",
         "TSU008",
+        "TSU009",
     ]
     for rule in RULES:
         assert rule.description

@@ -27,11 +27,10 @@ from repro.core.sketch import build_sketch
 from repro.engine.providers import (
     InMemoryProvider,
     MmapProvider,
-    StoreProvider,
 )
 from repro.exceptions import ServiceError
 from repro.storage.mmap_store import MmapStore
-from repro.storage.serialize import save_sketch
+from repro.storage.serialize import load_sketch, save_sketch
 from repro.storage.sqlite_store import SqliteSketchStore
 
 WINDOW = WindowSpec(end=599, length=200)
@@ -232,9 +231,9 @@ class TestBitIdentityAcrossBackends:
         if backend == "memory":
             provider = InMemoryProvider(sketch)
         elif backend == "sqlite":
-            store = SqliteSketchStore(tmp_path / "wire.db")
-            save_sketch(store, sketch)
-            provider = StoreProvider(store)
+            with SqliteSketchStore(tmp_path / "wire.db") as store:
+                save_sketch(store, sketch)
+                provider = InMemoryProvider(load_sketch(store))
         else:
             with MmapStore(tmp_path / "wire.mm") as store:
                 save_sketch(store, sketch)

@@ -46,6 +46,12 @@ TSU008    No diagonal-including ``np.triu_indices(n)`` (or
           and unpacked through ``packed_index`` alone, so stores and
           kernels agree on one triangle order; pair enumeration with
           ``k=1`` stays legal.
+TSU009    Sketch providers are read-only after construction: in classes
+          deriving from ``SketchProvider`` under ``repro/engine/``, no
+          assignment rooted at ``self`` (plain, augmented, annotated,
+          subscript or attribute chain) outside ``__init__``. One
+          provider is shared by every executor thread, so a query that
+          writes provider state races with its peers.
 ========  ==============================================================
 
 Suppress a finding with a justified trailing comment::
@@ -671,6 +677,75 @@ class TrianglePacking(Rule):
                 )
 
 
+class ProviderReadState(Rule):
+    """TSU009: sketch providers hold no state a query mutates."""
+
+    code = "TSU009"
+    name = "provider-read-state"
+    description = (
+        "no assignment rooted at self outside __init__ in SketchProvider "
+        "subclasses under src/repro/engine; providers are read-only after "
+        "construction"
+    )
+
+    _BASE = "SketchProvider"
+
+    def applies_to(self, path: str) -> bool:
+        return "src/repro/engine/" in path or path.startswith("repro/engine/")
+
+    @staticmethod
+    def _targets(node: ast.AST) -> list[ast.AST]:
+        if isinstance(node, ast.Assign):
+            return list(node.targets)
+        if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            return [node.target]
+        return []
+
+    @classmethod
+    def _rooted_at_self(cls, target: ast.AST) -> bool:
+        if isinstance(target, (ast.Tuple, ast.List)):
+            return any(cls._rooted_at_self(elt) for elt in target.elts)
+        if isinstance(target, ast.Starred):
+            return cls._rooted_at_self(target.value)
+        if not isinstance(target, (ast.Attribute, ast.Subscript)):
+            return False
+        root: ast.AST = target
+        while isinstance(root, (ast.Attribute, ast.Subscript)):
+            root = root.value
+        return isinstance(root, ast.Name) and root.id == "self"
+
+    def _provider_classes(self, tree: ast.Module) -> list[ast.ClassDef]:
+        """Classes deriving from ``SketchProvider``, directly or via a
+        provider class defined earlier in the same module."""
+        providers: list[ast.ClassDef] = []
+        names = {self._BASE}
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and any(
+                terminal_name(base) in names for base in node.bases
+            ):
+                providers.append(node)
+                names.add(node.name)
+        return providers
+
+    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
+        for cls in self._provider_classes(ctx.tree):
+            for method in cls.body:
+                if not isinstance(
+                    method, (ast.FunctionDef, ast.AsyncFunctionDef)
+                ) or method.name == "__init__":
+                    continue
+                for node in ast.walk(method):
+                    if any(self._rooted_at_self(t) for t in self._targets(node)):
+                        yield self.diag(
+                            ctx.path,
+                            node,
+                            f"{cls.name}.{method.name} assigns provider "
+                            "state outside __init__; providers are shared "
+                            "by concurrent readers and must be read-only "
+                            "after construction",
+                        )
+
+
 #: Registered rules, in code order. The CLI and the test suite iterate this.
 RULES: tuple[Rule, ...] = (
     BlockingCallInAsync(),
@@ -681,6 +756,7 @@ RULES: tuple[Rule, ...] = (
     SpecFieldDrift(),
     PrivateImport(),
     TrianglePacking(),
+    ProviderReadState(),
 )
 
 
