@@ -19,7 +19,11 @@ Times the same Lemma 1 all-pairs query through each sketch backend:
 Beyond the per-query rows, three system-level axes are recorded:
 
 * ``scale`` — the same aligned query at n_stations 60 → 500 (records grow
-  quadratically), cold mmap against the in-memory sketch;
+  quadratically), cold mmap against the in-memory sketch, plus
+  ``prefix_warm``: one warm prefix-table answer
+  (:meth:`~repro.api.client.TsubasaClient.compute_matrix` over persisted
+  tables), the time the service's event loop spends on each such answer it
+  computes inline;
 * ``ns_scale`` — the same full-range query at 1k → 50k basic *windows*:
   ``direct`` streams the whole selection through the Lemma 1 kernel
   (O(ns * n^2)), ``prefix_cold`` / ``prefix_warm`` answer from the store's
@@ -277,6 +281,8 @@ def run(store_dir: Path) -> dict:
 
 def run_scale(store_dir: Path) -> list[dict]:
     """The n-stations axis: one aligned query per backend per scale point."""
+    from repro.core.prefix import PREFIX_ATOL
+
     rows: list[dict] = []
     for n_stations in SCALE_STATIONS:
         dataset = generate_station_dataset(
@@ -311,6 +317,27 @@ def run_scale(store_dir: Path) -> list[dict]:
             "n_stations": n_stations,
             "seconds": timed(
                 lambda: TsubasaHistorical(provider=InMemoryProvider(sketch))
+            ),
+        })
+
+        # Tables are added after the direct rows, which they would reroute.
+        with MmapStore(mmap_path) as store:
+            store.build_prefix()
+        client = TsubasaClient(provider=MmapProvider(mmap_path))
+        spec = QuerySpec(
+            op="matrix",
+            window=WindowSpec(end=SCALE_QUERY[0], length=SCALE_QUERY[1]),
+        )
+        warm = client.compute_matrix(spec, spec.window)
+        assert warm.path == "prefix"
+        np.testing.assert_allclose(
+            warm.matrix.values, reference, rtol=0.0, atol=PREFIX_ATOL
+        )
+        rows.append({
+            "backend": "prefix_warm",
+            "n_stations": n_stations,
+            "seconds": _best_of(
+                lambda: client.compute_matrix(spec, spec.window), repeats=3
             ),
         })
     return rows

@@ -12,7 +12,11 @@ operator runs it:
    bit-identical to in-process execution; a token-less request must be
    rejected with 401
 4. SIGTERM → the server drains gracefully and exits 0
-5. the same store served by ``--workers 2`` (``SO_REUSEPORT`` acceptor
+5. steps 2–4 again over a second store sketched with ``--prefix`` and served
+   with ``--data``: every answer, aligned or not, must come from the prefix
+   tables (``provenance.path == "prefix"``, computed inline on the server's
+   event loop) and stay bit-identical to in-process execution
+6. the first store served by ``--workers 2`` (``SO_REUSEPORT`` acceptor
    processes): both workers answer on the shared port; one worker is
    SIGKILLed in the middle of a retrying client's batches and not a single
    call fails (results stay bit-identical while the supervisor spawns a
@@ -26,6 +30,7 @@ Exits non-zero on any mismatch, so CI can gate on it::
 from __future__ import annotations
 
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -47,8 +52,10 @@ CLI = [sys.executable, "-m", "repro.cli"]
 TOKEN = "smoke-secret"
 
 
-def check_results(remote, local) -> None:
+def check_results(remote, local, path: str | None = None) -> None:
     for got, want in zip(remote, local):
+        if path is not None:
+            assert got.provenance.path == path, got.provenance
         if got.spec.op == "matrix":
             assert np.array_equal(
                 got.value.values, want.value.values
@@ -59,10 +66,12 @@ def check_results(remote, local) -> None:
             assert got.value == want.value, got.spec.op
 
 
-def single_process(store: Path, specs, local) -> int:
+def single_process(
+    store: Path, specs, local, extra_args=(), path: str | None = None
+) -> int:
     server = subprocess.Popen(
         [*CLI, "serve", "--store", str(store), "--backend", "mmap",
-         "--http", "127.0.0.1:0", "--auth-token", TOKEN],
+         "--http", "127.0.0.1:0", "--auth-token", TOKEN, *extra_args],
         stderr=subprocess.PIPE,
         text=True,
     )
@@ -88,10 +97,11 @@ def single_process(store: Path, specs, local) -> int:
                     assert rc.health()["ok"] is True
                     remote = rc.execute_many(specs)
                     negotiated = rc.negotiated_protocol
-                check_results(remote, local)
+                check_results(remote, local, path)
                 print(
                     f"{transport} protocol={protocol}: {len(remote)} "
-                    f"results bit-identical (negotiated {negotiated})"
+                    f"results bit-identical (negotiated {negotiated}"
+                    + (f", path {path})" if path else ")")
                 )
         server.send_signal(signal.SIGTERM)
         _, stderr = server.communicate(timeout=30)
@@ -99,7 +109,7 @@ def single_process(store: Path, specs, local) -> int:
             print(f"server exited {server.returncode}:\n{stderr}",
                   file=sys.stderr)
             return 1
-        if "served 16 ok / 0 failed" not in stderr:
+        if f"served {4 * len(specs)} ok / 0 failed" not in stderr:
             print(f"unexpected drain summary:\n{stderr}", file=sys.stderr)
             return 1
         print("clean shutdown:", stderr.strip().splitlines()[-1])
@@ -186,7 +196,10 @@ def multi_worker(store: Path, specs, local) -> int:
         if "stopped 2 worker(s)" not in stderr:
             print(f"unexpected stop summary:\n{stderr}", file=sys.stderr)
             return 1
-        if stderr.count("drained after") != 2:
+        drains = re.findall(
+            r"^worker \d+: drained after \d+ requests$", stderr, re.M
+        )
+        if len(drains) != 2:
             print(f"expected 2 worker drains:\n{stderr}", file=sys.stderr)
             return 1
         print("clean multi-worker shutdown:",
@@ -229,6 +242,31 @@ def main() -> int:
         ).execute_many(specs)
 
         code = single_process(store, specs, local)
+        if code:
+            return code
+
+        prefixed = Path(tmp) / "prefixed.mm"
+        subprocess.run(
+            [*CLI, "sketch", "--data", str(data), "--window-size", "50",
+             "--store", str(prefixed), "--store-backend", "mmap", "--prefix"],
+            check=True,
+        )
+        # Non-aligned windows add raw head/tail fragments to the prefix rows.
+        arbitrary = WindowSpec(end=987, length=463)
+        prefix_specs = specs + [
+            QuerySpec(op="matrix", window=arbitrary),
+            QuerySpec(op="network", window=arbitrary, theta=0.5),
+        ]
+        with np.load(data) as archive:
+            values = archive["values"]
+        prefix_local = TsubasaClient(
+            provider=MmapProvider(MmapStore(prefixed, mode="r"), data=values)
+        ).execute_many(prefix_specs)
+        assert {r.provenance.path for r in prefix_local} == {"prefix"}
+        code = single_process(
+            prefixed, prefix_specs, prefix_local,
+            extra_args=("--data", str(data)), path="prefix",
+        )
         if code:
             return code
         code = multi_worker(store, specs, local)

@@ -159,6 +159,19 @@ class TsubasaClient:
             method = "eq5"  # what compute_matrix runs when omitted
         return (query.end, query.length, spec.engine, method)
 
+    def takes_prefix_path(self, spec: QuerySpec, window: WindowSpec) -> bool:
+        """Whether :meth:`compute_matrix` answers ``window`` from prefix tables.
+
+        A cheap probe: it aligns the window and asks the provider's
+        :meth:`~repro.engine.providers.SketchProvider.prefix_range`, without
+        sketching fragments or reading tables. The async service runs these
+        ``O(n^2)`` answers inline and sends the rest to its executor.
+        """
+        if spec.engine != "exact" or self._provider is None:
+            return False
+        selection = self._plan.align(window.resolve(self._plan))
+        return self._provider.prefix_range(selection) is not None
+
     def compute_matrix(self, spec: QuerySpec, window: WindowSpec) -> MatrixExecution:
         """Compute the correlation matrix ``spec`` needs over ``window``.
 
@@ -282,7 +295,8 @@ class TsubasaClient:
         Shared by :meth:`execute` and the async service so both surfaces
         return identically shaped results. ``started_at`` anchors the
         ``total`` timing — call entry for the sync client, submission time
-        for the service (where waiting for the executor counts as latency).
+        for the service (where waiting for a shared computation counts as
+        latency).
         """
         post_start = time.perf_counter()
         value = self.finish(

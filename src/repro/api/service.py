@@ -27,9 +27,14 @@ one — and awaits them in the caller's task. Shared computations are awaited
 through :func:`asyncio.shield`, so a cancelled caller never cancels the work
 its coalesced peers are waiting on.
 
-Matrix computations run on a dedicated thread pool so the event loop stays
-responsive. Every provider is read-only after construction, so any
-``max_workers`` shares one backend safely.
+Where a matrix is computed depends on its path
+(:meth:`~repro.api.client.TsubasaClient.takes_prefix_path`). A window the
+provider's prefix tables cover is answered inline on the event loop: that
+answer is ``O(n^2)`` whatever the window's length, and cheaper than a hop to
+another thread. Direct Lemma 1 reductions and ``engine="approx"`` matrices,
+whose cost grows with the number of selected windows, run on a dedicated
+thread pool so the event loop stays responsive. Every provider is read-only
+after construction, so any ``max_workers`` shares one backend safely.
 
 Usage::
 
@@ -153,7 +158,9 @@ class TsubasaService:
     Args:
         client: The planner/facade executing matrix computations and
             post-processing. Its provider is shared across every request.
-        max_workers: Executor threads running matrix computations.
+        max_workers: Executor threads running direct-path and approx
+            matrix computations. Prefix-path matrices run inline on the
+            event loop and never wait for this pool.
         result_cache: Finished matrices kept in a bounded LRU keyed by
             :meth:`~repro.api.client.TsubasaClient.matrix_key` and replayed
             to later identical demands. ``0`` (the default) disables the
@@ -354,10 +361,13 @@ class TsubasaService:
     async def _compute_matrix(
         self, spec: QuerySpec, window, key: tuple
     ) -> MatrixExecution:
-        loop = asyncio.get_running_loop()
-        execution = await loop.run_in_executor(
-            self._executor, self._client.compute_matrix, spec, window
-        )
+        if self._client.takes_prefix_path(spec, window):
+            # O(n^2) whatever the window's length: cheaper than a thread hop.
+            execution = self._client.compute_matrix(spec, window)
+        else:
+            execution = await asyncio.get_running_loop().run_in_executor(
+                self._executor, self._client.compute_matrix, spec, window
+            )
         self._matrices += 1
         bucket = self._latency.setdefault(execution.backend, [0, 0.0])
         bucket[0] += 1

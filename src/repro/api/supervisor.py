@@ -108,11 +108,12 @@ def _worker_main(config: WorkerConfig, port: int, ready) -> None:
             served = (
                 server.stats["http_requests"] + server.stats["ws_requests"]
             )
-            print(
-                f"worker {os.getpid()}: drained after {served} requests",
-                file=sys.stderr,
-                flush=True,
+            # One write per report: print() sends the text and its newline
+            # separately, so concurrent workers' reports interleave mid-line.
+            sys.stderr.write(
+                f"worker {os.getpid()}: drained after {served} requests\n"
             )
+            sys.stderr.flush()
 
     asyncio.run(run())
 

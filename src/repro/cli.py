@@ -794,7 +794,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sv.add_argument("--store", required=True)
     sv.add_argument("--workers", type=int, default=1,
-                    help="stdin mode: executor threads computing matrices. "
+                    help="stdin mode: executor threads computing direct-path "
+                         "and approx matrices (prefix-table answers run "
+                         "inline on the event loop). "
                          "With --http, N > 1 instead spawns N SO_REUSEPORT "
                          "acceptor processes sharing the port, each with "
                          "its own event loop and service (restarted on "

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import asyncio
 import sys
+import threading
 import time
 
 import numpy as np
@@ -150,6 +151,120 @@ class TestConcurrentMmapProvider:
         edge_sets = {frozenset(r.value.edge_set()) for r in results}
         assert len(edge_sets) == 1
         assert sum(r.provenance.coalesced for r in results) == 31
+
+    def test_duplicate_prefix_specs_coalesce_fully(self, sketch, tmp_path):
+        with MmapStore(tmp_path / "dup.mm") as store:
+            save_sketch(store, sketch)
+            store.build_prefix()
+        client = TsubasaClient(provider=MmapProvider(tmp_path / "dup.mm"))
+        spec = QuerySpec(op="network", window=WindowSpec(end=599, length=400),
+                         theta=0.4)
+        results, stats = run_specs(client, [spec] * 32)
+        # The inline prefix answer still runs in the coalescing task, so the
+        # 31 duplicates submitted in the same loop tick join it.
+        assert stats.matrices_computed == 1
+        assert stats.coalesced == 31
+        assert {r.provenance.path for r in results} == {"prefix"}
+        edge_sets = {frozenset(r.value.edge_set()) for r in results}
+        assert len(edge_sets) == 1
+        assert sum(r.provenance.coalesced for r in results) == 31
+
+
+class ThreadRecordingClient(TsubasaClient):
+    """Records the thread every matrix computation runs on."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.threads: set[int] = set()
+
+    def compute_matrix(self, spec, window):
+        self.threads.add(threading.get_ident())
+        return super().compute_matrix(spec, window)
+
+
+def mmap_provider(sketch, data, tmp_path, tables: bool):
+    path = tmp_path / ("tables.mm" if tables else "plain.mm")
+    with MmapStore(path) as store:
+        save_sketch(store, sketch)
+        if tables:
+            store.build_prefix()
+    return MmapProvider(path, data=data)
+
+
+def executor_threads() -> list[threading.Thread]:
+    return [
+        t for t in threading.enumerate()
+        if t.name.startswith("tsubasa-service")
+    ]
+
+
+class TestComputeThread:
+    """Prefix answers run on the event loop; everything else off it."""
+
+    def drive(self, client, specs):
+        async def run():
+            async with TsubasaService(client, max_workers=2) as service:
+                results = await asyncio.gather(
+                    *(service.submit(spec) for spec in specs)
+                )
+                return results, threading.get_ident(), executor_threads()
+
+        return asyncio.run(run())
+
+    def specs(self) -> list[QuerySpec]:
+        # The last window is non-aligned: prefix rows plus raw fragments.
+        return overlapping_specs(12) + [
+            QuerySpec(op="matrix", window=WindowSpec(end=587, length=473))
+        ]
+
+    @pytest.mark.parametrize("backend", ["mmap", "prefix"])
+    def test_prefix_backed_provider_computes_on_loop(
+        self, backend, sketch, data, tmp_path
+    ):
+        if backend == "mmap":
+            provider = mmap_provider(sketch, data, tmp_path, tables=True)
+        else:
+            provider = PrefixProvider(InMemoryProvider(sketch, data=data))
+        client = ThreadRecordingClient(provider=provider)
+        specs = self.specs()
+        results, loop_thread, pool = self.drive(client, specs)
+        assert client.threads == {loop_thread}
+        assert pool == []  # the executor never started a thread
+        assert {r.provenance.path for r in results} == {"prefix"}
+        assert_identical_to_serial(
+            results, TsubasaClient(provider=provider), specs
+        )
+
+    @pytest.mark.parametrize("backend", ["mmap", "memory"])
+    def test_direct_path_provider_computes_off_loop(
+        self, backend, sketch, data, tmp_path
+    ):
+        if backend == "mmap":
+            provider = mmap_provider(sketch, data, tmp_path, tables=False)
+        else:
+            provider = InMemoryProvider(sketch, data=data)
+        client = ThreadRecordingClient(provider=provider)
+        specs = self.specs()
+        results, loop_thread, pool = self.drive(client, specs)
+        assert client.threads and loop_thread not in client.threads
+        assert pool
+        assert {r.provenance.path for r in results} == {"direct"}
+        assert_identical_to_serial(
+            results, TsubasaClient(provider=provider), specs
+        )
+
+    def test_probe_matches_compute_path(self, sketch, data, tmp_path):
+        prefixed = TsubasaClient(
+            provider=mmap_provider(sketch, data, tmp_path, tables=True)
+        )
+        plain = TsubasaClient(
+            provider=mmap_provider(sketch, data, tmp_path, tables=False)
+        )
+        for spec in self.specs():
+            for client in (prefixed, plain):
+                probe = client.takes_prefix_path(spec, spec.window)
+                path = client.compute_matrix(spec, spec.window).path
+                assert probe == (path == "prefix")
 
 
 class TestDiffNetworkCoalescing:

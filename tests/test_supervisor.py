@@ -10,6 +10,7 @@ SIGTERM drains every worker cleanly — programmatically via
 from __future__ import annotations
 
 import os
+import re
 import signal
 import socket
 import subprocess
@@ -125,8 +126,12 @@ class TestServeWorkersCli:
             _, stderr = process.communicate(timeout=60)
             assert process.returncode == 0
             assert "stopped 2 worker(s)" in stderr
-            # Each worker reports its own drain on the way out.
-            assert stderr.count("drained after") == 2
+            # Each worker reports its own drain on the way out, each report
+            # on a whole line of its own.
+            drains = re.findall(
+                r"^worker \d+: drained after \d+ requests$", stderr, re.M
+            )
+            assert len(drains) == 2
         finally:
             if process.poll() is None:
                 process.kill()
