@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.core.matrix import CorrelationMatrix
 from repro.core.network import ClimateNetwork
+from repro.core.packing import pair_index
 from repro.data.grid import haversine_km
 from repro.exceptions import DataError
 
@@ -107,7 +108,7 @@ def correlation_vs_distance(
         raise DataError(f"series without coordinates: {missing[:5]}")
     lats = np.array([coordinates[n][0] for n in matrix.names])
     lons = np.array([coordinates[n][1] for n in matrix.names])
-    rows, cols = np.triu_indices(matrix.n_series, k=1)
+    rows, cols = pair_index(matrix.n_series)
     dists = haversine_km(lats[rows], lons[rows], lats[cols], lons[cols])
     corrs = matrix.values[rows, cols]
     if max_km is not None:

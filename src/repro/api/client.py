@@ -26,7 +26,7 @@ from repro.api.spec import Provenance, QueryResult, QuerySpec, WindowSpec
 from repro.core.exact import (
     DEFAULT_CHUNK_WINDOWS,
     query_correlation_matrix,
-    selection_fragments,
+    selection_points,
 )
 from repro.core.matrix import CorrelationMatrix
 from repro.core.network import ClimateNetwork
@@ -162,9 +162,9 @@ class TsubasaClient:
     def takes_prefix_path(self, spec: QuerySpec, window: WindowSpec) -> bool:
         """Whether :meth:`compute_matrix` answers ``window`` from prefix tables.
 
-        A cheap probe: it aligns the window and asks the provider's
-        :meth:`~repro.engine.providers.SketchProvider.prefix_range`, without
-        sketching fragments or reading tables. The async service runs these
+        A cheap probe: it aligns the window (``O(1)``) and asks the
+        provider's :meth:`~repro.engine.providers.SketchProvider.prefix_range`,
+        without reading fragment points or tables. The async service runs these
         ``O(n^2)`` answers inline and sends the rest to its executor.
         """
         if spec.engine != "exact" or self._provider is None:
@@ -195,14 +195,14 @@ class TsubasaClient:
         selection = self._plan.align(window.resolve(self._plan))
         # A contiguous interior goes through the backend's prefix tables
         # when it has them: O(n^2) per query, independent of the number of
-        # selected windows, with a non-aligned window's head/tail fragments
-        # folded in as two more terms. The fragments are sketched first, so
-        # a backend without raw data raises before any table read.
+        # selected windows, with a non-aligned window's raw head/tail points
+        # folded in directly. The points are read first, so a backend
+        # without raw data raises before any table read.
         # Everything else streams the direct Lemma 1 reduction.
         bounds = provider.prefix_range(selection)
         if bounds is not None:
-            fragments = selection_fragments(provider, selection, self._data)
-            values = provider.prefix_matrix(*bounds, fragments)
+            points = selection_points(provider, selection, self._data)
+            values = provider.prefix_matrix(*bounds, points)
             path = "prefix"
         else:
             values = query_correlation_matrix(

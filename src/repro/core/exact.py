@@ -11,10 +11,12 @@ answered by:
    ``(ns, n, n)`` covariance tensor),
 3. sketching the (possibly empty) partial head/tail fragments from raw data
    on the fly (:func:`selection_fragments`) — these are just two extra
-   variable-size "basic windows" as far as Lemma 1 is concerned, so a
-   backend with prefix-aggregate tables folds them into its ``O(n^2)``
-   range combination (:func:`~repro.core.prefix.combine_matrix_prefix`)
-   and skips steps 2 and 4 for any contiguous interior its tables cover, and
+   variable-size "basic windows" as far as Lemma 1 is concerned. A backend
+   with prefix-aggregate tables skips steps 2 and 4 for any contiguous
+   interior its tables cover, and skips the fragment sketches too: it folds
+   the fragments' raw points (:func:`selection_points`) straight into its
+   ``O(n^2)`` range combination
+   (:func:`~repro.core.prefix.combine_matrix_prefix`), and
 4. combining everything with the vectorized Lemma 1 kernel
    (:func:`~repro.core.lemma1.combine_matrix_chunked`) into the complete,
    exact correlation matrix, from which any threshold yields the network.
@@ -35,7 +37,8 @@ the pre-delegation paths.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from collections.abc import Iterator, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -51,12 +54,14 @@ from repro.exceptions import DataError, SketchError
 if TYPE_CHECKING:
     from repro.api.client import TsubasaClient
     from repro.api.spec import WindowSpec
-    from repro.core.prefix import Fragment
     from repro.core.pruning import PruningResult
 
 __all__ = [
+    "Fragment",
+    "fragment_points",
     "fragment_stats",
     "selection_fragments",
+    "selection_points",
     "query_correlation_matrix",
     "query_correlation_row",
     "TsubasaHistorical",
@@ -64,6 +69,10 @@ __all__ = [
 
 #: Default number of basic windows combined per streamed covariance chunk.
 DEFAULT_CHUNK_WINDOWS = 64
+
+#: One raw head/tail fragment's sketch, ``(means, stds, cov, size)`` across
+#: all series, as :func:`fragment_stats` returns it.
+Fragment = tuple[np.ndarray, np.ndarray, np.ndarray, int]
 
 
 def query_correlation_row(
@@ -96,12 +105,12 @@ def query_correlation_row(
     )
 
 
-def fragment_stats(
-    data: np.ndarray, start: int, stop: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def fragment_stats(data: np.ndarray, start: int, stop: int) -> Fragment:
     """Sketch one raw fragment ``data[:, start:stop]`` on the fly.
 
-    Used for the partial head/tail windows of arbitrary queries (§3.1.1).
+    Used for the partial head/tail windows of arbitrary queries (§3.1.1) on
+    the direct kernel, the reference the prefix kernels' raw-point fold
+    (:func:`fragment_points`) is checked against.
 
     Returns:
         ``(means, stds, cov, size)`` of the fragment across all series.
@@ -113,6 +122,21 @@ def fragment_stats(
     centered = block - mean[:, None]
     cov = centered @ centered.T / block.shape[1]
     return mean, block.std(axis=1), cov, block.shape[1]
+
+
+def fragment_points(
+    data: np.ndarray, spans: Sequence[tuple[int, int]]
+) -> np.ndarray:
+    """Raw points of the ``[start, stop)`` ``spans``, side by side.
+
+    The prefix kernels' fragment input: one ``(n, k)`` block holding each
+    span's columns in order (a view of ``data`` for a single span).
+    """
+    block = np.asarray(data, dtype=np.float64)
+    parts = [block[:, start:stop] for start, stop in spans]
+    if not parts or any(part.shape[1] == 0 for part in parts):
+        raise DataError(f"empty fragment among {list(spans)}")
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
 def selection_fragments(
@@ -134,9 +158,32 @@ def selection_fragments(
     """
     return [
         fragment_stats(data, *span) if data is not None else provider.fragment(*span)
-        for span in (selection.head, selection.tail)
-        if span is not None
+        for span in selection.spans
     ]
+
+
+def selection_points(
+    provider: SketchProvider,
+    selection: WindowSelection,
+    data: np.ndarray | None = None,
+) -> np.ndarray | None:
+    """A selection's raw head/tail points as one ``(n, k)`` block.
+
+    The prefix kernels' counterpart of :func:`selection_fragments`, with the
+    same sources and the same fail-fast
+    :class:`~repro.exceptions.SketchError` on a backend without raw data
+    (:meth:`~repro.engine.providers.SketchProvider.fragment_points`).
+
+    Returns:
+        ``None`` for an aligned selection, else :func:`fragment_points` of
+        its spans.
+    """
+    spans = selection.spans
+    if not spans:
+        return None
+    if data is not None:
+        return fragment_points(data, spans)
+    return provider.fragment_points(spans)
 
 
 def _as_provider(
@@ -377,16 +424,16 @@ class TsubasaHistorical:
         # row from memory. Backends with prefix-aggregate tables skip even
         # that: a contiguous interior's anchor rows come straight from the
         # tables in O(n) each (combine_row_prefix), with the head/tail
-        # fragments sketched once and folded into every row — decisions
-        # then match exact thresholding within the prefix accuracy contract
+        # points read once and folded into every row — decisions then match
+        # exact thresholding within the prefix accuracy contract
         # (repro.core.prefix.PREFIX_ATOL).
         bounds = self._provider.prefix_range(selection)
         if bounds is not None:
             lo, hi = bounds
-            fragments = selection_fragments(self._provider, selection)
+            points = selection_points(self._provider, selection)
 
             def compute_row(i: int) -> np.ndarray:
-                return self._provider.prefix_row(lo, hi, i, fragments)
+                return self._provider.prefix_row(lo, hi, i, points)
 
         elif not selection.is_aligned:
             raise SketchError(

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.packing import pair_index
 from repro.exceptions import DataError
 
 __all__ = ["CorrelationMatrix", "threshold_adjacency", "count_edges",
@@ -129,6 +130,6 @@ def similarity_ratio(a: np.ndarray, b: np.ndarray) -> float:
     n = a.shape[0]
     if n < 2:
         return 1.0
-    upper = np.triu_indices(n, k=1)
+    upper = pair_index(n)
     agree = np.sum(a[upper] == b[upper])
     return float(2.0 * agree / (n * (n - 1)))

@@ -5,8 +5,9 @@ matrices, the prefix tables' cross moments) is symmetric, so its ``n x n``
 matrix carries each pair twice. The packed form keeps the upper triangle,
 diagonal included, as one row of ``P = n (n + 1) / 2`` values in row-major
 triangle order (``np.triu_indices(n)``) — the paper's one-statistic-per-pair
-layout. This module is the one place that knows the index map; stores and
-kernels pack and unpack only through it.
+layout. This module is the one place that knows the index maps; stores and
+kernels pack and unpack only through it, and query operators enumerate the
+distinct pairs (the strict upper triangle) through :func:`pair_index`.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ __all__ = [
     "pack_symmetric",
     "packed_index",
     "packed_size",
+    "pair_index",
     "unpack_symmetric",
 ]
 
@@ -49,6 +51,20 @@ def packed_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for index in (iu, ju, full_map):
         index.setflags(write=False)
     return iu, ju, full_map
+
+
+@lru_cache(maxsize=64)
+def pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (cached, read-only) distinct pairs ``x < y`` of ``n`` series.
+
+    Returns:
+        ``(rows, cols)`` in row-major strict-upper-triangle order, as
+        ``np.triu_indices(n, k=1)`` lists them.
+    """
+    rows, cols = np.triu_indices(n, k=1)
+    for index in (rows, cols):
+        index.setflags(write=False)
+    return rows, cols
 
 
 @lru_cache(maxsize=64)

@@ -27,10 +27,15 @@ table keeps each symmetric pair once, as a packed upper-triangle row
 answer is unpacked to ``n x n`` once.
 
 An arbitrary (non-aligned) query window adds at most two partial raw
-fragments, a head before ``lo`` and a tail after ``hi``. To Lemma 1 these are
-just two more variable-size windows, so their sketches ``(m, sigma, cov, B)``
-are centered with the same offsets and folded into the range moments as two
-more terms before the guarded finish — still ``O(n^2)``.
+fragments, a head before ``lo`` and a tail after ``hi``. The kernels take
+their raw *points*, the head and tail columns side by side as one ``(n, k)``
+block ``X`` (``k <= 2 (B - 1)``), and fold them against the tables' own
+offsets: with ``D = X - c``, ``T += k``, ``s1 += sum D``, ``s2 += sum D^2``
+and the cross moment ``+= D D^T`` (one symmetric matmul). That is the same
+Lemma 1 term a fragment sketch would add, since
+``sum (x - c)(y - c) = B (cov + delta_x delta_y)`` with ``delta = m - c``,
+but no fragment mean, std or covariance is ever formed — ``O(n^2 k)`` on
+top of the two row reads.
 
 Numerical accuracy contract
 ---------------------------
@@ -55,16 +60,16 @@ Two measures keep the tables usable at ``ns >= 50k`` (fuzz-tested in
 
 The residual error is governed by the conditioning of the subtraction,
 ``kappa = (sum B (sigma^2 + m'^2)) / pooled``, where the sums run over the
-interior windows *and* any head/tail fragment terms: roughly, how far the
+interior windows *and* the centered fragment points: roughly, how far the
 query range's mean sits from the build-time offset, measured in
-within-range standard deviations. A fragment whose mean sits far from the
-offsets (a level shift) raises both the numerator and the pooled variance,
-so it does not by itself degrade ``kappa``. The documented contract, enforced by the fuzz suite:
-for ranges with ``kappa <= ~1e8`` (mean drift up to ~1e4 standard
-deviations), :func:`combine_matrix_prefix` matches the direct
+within-range standard deviations. Fragment points far from the offsets (a
+level shift) raise both the numerator and the pooled variance, so they do
+not by themselves degrade ``kappa``. The documented contract, enforced by
+the fuzz suite: for ranges with ``kappa <= ~1e8`` (mean drift up to ~1e4
+standard deviations), :func:`combine_matrix_prefix` matches the direct
 :func:`~repro.core.lemma1.combine_matrix` over the same segments (interior
-windows plus fragments) within :data:`PREFIX_ATOL` on every correlation
-entry; typical error on stationary data is below 1e-12.
+windows plus fragment sketches) within :data:`PREFIX_ATOL` on every
+correlation entry; typical error on stationary data is below 1e-12.
 Ranges whose pooled variance falls below :data:`VARIANCE_GUARD` of the
 centered second moment — or below ``_KAHAN_BLOCK * eps`` of the prefix row
 magnitude, the rounding already baked into the cumulative tables (short
@@ -75,7 +80,6 @@ indistinguishable from constant in float64 and are reported as constant
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,7 +94,6 @@ from repro.core.packing import (
 from repro.exceptions import SketchError
 
 __all__ = [
-    "Fragment",
     "PrefixAggregates",
     "build_prefix_aggregates",
     "combine_matrix_prefix",
@@ -111,10 +114,6 @@ VARIANCE_GUARD = 1e-11
 
 #: Windows per plain-cumsum block between compensated carries.
 _KAHAN_BLOCK = 512
-
-#: One raw head/tail fragment's sketch, ``(means, stds, cov, size)`` across
-#: all series, as :func:`~repro.core.exact.fragment_stats` returns it.
-Fragment = tuple[np.ndarray, np.ndarray, np.ndarray, int]
 
 
 def _extend_cumsum(table: np.ndarray, rows: int, values: np.ndarray) -> None:
@@ -362,40 +361,35 @@ def _range_moments(
     aggregates: PrefixAggregates,
     lo: int,
     hi: int,
-    fragments: Sequence[Fragment],
-) -> tuple[float, np.ndarray, np.ndarray, list[tuple[float, np.ndarray, np.ndarray]]]:
-    """Centered moments of windows ``[lo, hi)`` plus the fragment terms.
+    points: np.ndarray | None,
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray | None]:
+    """Centered moments of windows ``[lo, hi)`` plus the fragment points.
 
-    Each fragment ``(m, sigma, cov, B)`` is centered with the tables' offsets
-    (``d = m - c``) and folded in as one more window: ``T += B``,
-    ``s1 += B d``, ``s2 += B (sigma^2 + d^2)``. Its cross term
-    ``B (cov + d d^T)`` is returned as ``(B, d, cov)`` rather than added
-    here, because the matrix and row kernels need different slices of it.
+    The ``(n, k)`` raw ``points`` are centered with the tables' offsets
+    (``D = X - c``) and folded in: ``T += k``, ``s1 += sum D``,
+    ``s2 += sum D^2``. Their cross term ``D D^T`` is left to the caller,
+    because the matrix and row kernels need different slices of it.
 
     Returns:
-        ``(T, s1, s2, terms)``.
+        ``(T, s1, s2, D)``, with ``D = None`` when there are no points.
     """
     total, s1, s2 = aggregates.moments(lo, hi)
+    if points is None:
+        return total, s1, s2, None
+    points = np.asarray(points, dtype=np.float64)
     n = aggregates.n_series
-    terms = []
-    for mean, std, cov, size in fragments:
-        mean = np.asarray(mean, dtype=np.float64)
-        std = np.asarray(std, dtype=np.float64)
-        cov = np.asarray(cov, dtype=np.float64)
-        weight = float(size)
-        if mean.shape != (n,) or std.shape != (n,) or cov.shape != (n, n):
-            raise SketchError(
-                f"fragment shapes {mean.shape}/{std.shape}/{cov.shape} "
-                f"incompatible with {n} series"
-            )
-        if weight <= 0.0:
-            raise SketchError(f"fragment size must be positive, got {size}")
-        delta = mean - aggregates.offsets
-        total += weight
-        s1 = s1 + weight * delta
-        s2 = s2 + weight * (std**2 + delta**2)
-        terms.append((weight, delta, cov))
-    return total, s1, s2, terms
+    if points.ndim != 2 or points.shape[0] != n:
+        raise SketchError(
+            f"fragment points of shape {points.shape} incompatible with "
+            f"{n} series"
+        )
+    if points.shape[1] == 0:
+        return total, s1, s2, None
+    centered = points - aggregates.offsets[:, None]
+    total += points.shape[1]
+    s1 += centered.sum(axis=1)
+    s2 += np.einsum("ij,ij->i", centered, centered)
+    return total, s1, s2, centered
 
 
 def _pooled_scales(
@@ -428,7 +422,7 @@ def combine_matrix_prefix(
     aggregates: PrefixAggregates,
     lo: int,
     hi: int,
-    fragments: Sequence[Fragment] = (),
+    points: np.ndarray | None = None,
 ) -> np.ndarray:
     """Exact all-pairs correlation over windows ``[lo, hi)`` in ``O(n^2)``.
 
@@ -440,20 +434,22 @@ def combine_matrix_prefix(
         aggregates: Prefix tables covering at least window ``hi - 1``.
         lo: First selected basic window (inclusive).
         hi: Last selected basic window (exclusive).
-        fragments: Up to two raw head/tail fragment sketches of an
-            arbitrary query window, combined as extra Lemma 1 terms.
+        points: Raw head/tail points of an arbitrary query window as one
+            ``(n, k)`` block (:func:`~repro.core.exact.fragment_points`),
+            folded in against the tables' offsets.
 
     Returns:
         The ``(n, n)`` Pearson correlation matrix, unit diagonal; rows and
         columns of (effectively) constant series are zero off-diagonal.
     """
-    total, s1, s2, terms = _range_moments(aggregates, lo, hi, fragments)
+    total, s1, s2, centered = _range_moments(aggregates, lo, hi, points)
     n = aggregates.n_series
     mu = s1 / total
     scale = _pooled_scales(total, mu, s2, aggregates.second[hi])
     cross = unpack_symmetric(aggregates.cross[hi] - aggregates.cross[lo], n)
-    for weight, delta, cov in terms:
-        cross += weight * (cov + np.outer(delta, delta))
+    if centered is not None:
+        # ``a @ a.T`` runs as one symmetric rank-k update (exactly symmetric).
+        cross += centered @ centered.T
     numer = cross - total * np.outer(mu, mu)
     denom = np.outer(scale, scale)
     corr = np.zeros_like(denom)
@@ -468,7 +464,7 @@ def combine_row_prefix(
     lo: int,
     hi: int,
     row: int,
-    fragments: Sequence[Fragment] = (),
+    points: np.ndarray | None = None,
 ) -> np.ndarray:
     """One correlation-matrix row over windows ``[lo, hi)`` in ``O(n)``.
 
@@ -480,8 +476,8 @@ def combine_row_prefix(
         lo: First selected basic window (inclusive).
         hi: Last selected basic window (exclusive).
         row: Index of the anchor series.
-        fragments: Up to two raw head/tail fragment sketches, as for
-            :func:`combine_matrix_prefix`.
+        points: Raw head/tail points, as for :func:`combine_matrix_prefix`
+            (``O(n k)`` more for ``k`` points).
 
     Returns:
         Length-``n`` array of exact correlations (entry ``row`` is 1.0).
@@ -489,13 +485,13 @@ def combine_row_prefix(
     n = aggregates.n_series
     if not 0 <= row < n:
         raise SketchError(f"row {row} out of range [0, {n})")
-    total, s1, s2, terms = _range_moments(aggregates, lo, hi, fragments)
+    total, s1, s2, centered = _range_moments(aggregates, lo, hi, points)
     mu = s1 / total
     scale = _pooled_scales(total, mu, s2, aggregates.second[hi])
     positions = packed_index(n)[2][row]
     cross = aggregates.cross[hi, positions] - aggregates.cross[lo, positions]
-    for weight, delta, cov in terms:
-        cross += weight * (cov[row] + delta[row] * delta)
+    if centered is not None:
+        cross += centered @ centered[row]
     numer = cross - total * mu[row] * mu
     denom = scale[row] * scale
     out = np.zeros(n)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.matrix import CorrelationMatrix
+from repro.core.packing import pair_index
 from repro.exceptions import DataError
 
 __all__ = [
@@ -24,8 +25,7 @@ __all__ = [
 
 
 def _upper_pairs(matrix: CorrelationMatrix) -> tuple[np.ndarray, np.ndarray]:
-    n = matrix.n_series
-    return np.triu_indices(n, k=1)
+    return pair_index(matrix.n_series)
 
 
 def _top_order(values: np.ndarray, k: int) -> np.ndarray:

@@ -69,22 +69,60 @@ class QueryWindow:
         return slice(self.start, self.stop)
 
 
-@dataclass(frozen=True)
 class WindowSelection:
     """Alignment of a :class:`QueryWindow` against a :class:`BasicWindowPlan`.
 
-    Attributes:
-        full_windows: Indices of basic windows fully inside the query window,
-            readable straight from the sketch.
+    Every selection :meth:`BasicWindowPlan.align` returns holds its full
+    windows as one ascending ``run`` — two integers, whatever the number of
+    windows it spans. A selection built by hand may instead list arbitrary
+    ``full_windows`` indices, which need not be contiguous.
+
+    Args:
+        full_windows: Indices of basic windows fully inside the query window
+            (omit when ``run`` is given).
         head: Optional half-open ``(start, stop)`` raw range before the first
-            full window (empty tuple when aligned).
+            full window (``None`` when aligned).
         tail: Optional half-open ``(start, stop)`` raw range after the last
-            full window (empty tuple when aligned).
+            full window (``None`` when aligned).
+        run: Half-open ``(lo, hi)`` bounds of the full windows when they are
+            the ascending run ``lo, ..., hi - 1`` (``lo == hi`` for none).
+
+    Attributes:
+        head: As given.
+        tail: As given.
+        run: As given; ``None`` for a selection built from an index list.
     """
 
-    full_windows: np.ndarray
-    head: tuple[int, int] | None
-    tail: tuple[int, int] | None
+    __slots__ = ("head", "tail", "run", "_indices")
+
+    def __init__(
+        self,
+        full_windows: np.ndarray | None = None,
+        head: tuple[int, int] | None = None,
+        tail: tuple[int, int] | None = None,
+        *,
+        run: tuple[int, int] | None = None,
+    ) -> None:
+        if (full_windows is None) == (run is None):
+            raise SegmentationError("give exactly one of full_windows or run")
+        self.head = head
+        self.tail = tail
+        self.run = run
+        self._indices = (
+            None if full_windows is None else np.asarray(full_windows, dtype=np.int64)
+        )
+
+    @property
+    def full_windows(self) -> np.ndarray:
+        """Indices of basic windows fully inside the query window."""
+        if self._indices is None:
+            return np.arange(*self.run, dtype=np.int64)
+        return self._indices
+
+    @property
+    def spans(self) -> tuple[tuple[int, int], ...]:
+        """The present raw fragments, head before tail."""
+        return tuple(span for span in (self.head, self.tail) if span is not None)
 
     @property
     def is_aligned(self) -> bool:
@@ -94,11 +132,7 @@ class WindowSelection:
     @property
     def n_segments(self) -> int:
         """Total number of variable-size segments Lemma 1 will combine."""
-        return (
-            int(self.full_windows.size)
-            + (self.head is not None)
-            + (self.tail is not None)
-        )
+        return int(self.full_windows.size) + len(self.spans)
 
 
 @dataclass(frozen=True)
@@ -145,14 +179,17 @@ class BasicWindowPlan:
         """Per-window sizes ``B_j``, shape ``(n_windows,)``."""
         return np.diff(self.boundaries)
 
+    def _edge(self, index: int) -> int:
+        """Boundary ``index`` in ``[0, n_windows]``: ``boundaries[index]``."""
+        return min(index * self.window_size, self.length)
+
     def window_range(self, index: int) -> tuple[int, int]:
         """Half-open ``(start, stop)`` column range of basic window ``index``."""
         if not 0 <= index < self.n_windows:
             raise SegmentationError(
                 f"window index {index} out of range [0, {self.n_windows})"
             )
-        bounds = self.boundaries
-        return int(bounds[index]), int(bounds[index + 1])
+        return self._edge(index), self._edge(index + 1)
 
     def window_of(self, offset: int) -> int:
         """Index of the basic window containing point ``offset``."""
@@ -167,7 +204,8 @@ class BasicWindowPlan:
         and exposes the uncovered head/tail fragments as raw ranges to be
         sketched at query time. Aligned queries (the "special case" of
         Lemma 1, and the only case the DFT competitors support) come back
-        with no fragments.
+        with no fragments. The run is found arithmetically, in ``O(1)``
+        whatever the number of windows.
 
         Args:
             query: The query window; must lie inside ``[0, length)``.
@@ -180,27 +218,29 @@ class BasicWindowPlan:
                 f"query window ends at {query.end} but only {self.length} points "
                 "are sketched"
             )
-        bounds = self.boundaries
-        # First basic window starting at or after the query start.
-        first_full = int(np.searchsorted(bounds, query.start, side="left"))
-        # Last boundary at or before the query stop.
-        last_edge = int(np.searchsorted(bounds, query.stop, side="right")) - 1
+        # Boundaries are the multiples of B below ``length``, then ``length``
+        # itself. First boundary at or after the query start (start <
+        # length, so the ceiling never passes n_windows):
+        first_full = -(-query.start // self.window_size)
+        # Last boundary at or before the query stop (a short trailing
+        # window's end is ``length``, not a multiple of B):
+        if query.stop == self.length:
+            last_edge = self.n_windows
+        else:
+            last_edge = query.stop // self.window_size
 
         if first_full >= last_edge:
             # The query fits strictly inside one or two basic windows with no
             # fully covered window; Lemma 1 degenerates to a single raw segment.
             return WindowSelection(
-                full_windows=np.empty(0, dtype=np.int64),
-                head=(query.start, query.stop),
-                tail=None,
+                run=(0, 0), head=(query.start, query.stop), tail=None
             )
 
-        full = np.arange(first_full, last_edge, dtype=np.int64)
-        head_start, head_stop = query.start, int(bounds[first_full])
-        tail_start, tail_stop = int(bounds[last_edge]), query.stop
+        head_start, head_stop = query.start, self._edge(first_full)
+        tail_start, tail_stop = self._edge(last_edge), query.stop
         head = (head_start, head_stop) if head_stop > head_start else None
         tail = (tail_start, tail_stop) if tail_stop > tail_start else None
-        return WindowSelection(full_windows=full, head=head, tail=tail)
+        return WindowSelection(run=(first_full, last_edge), head=head, tail=tail)
 
     def aligned_query(self, first_window: int, n_windows: int) -> QueryWindow:
         """Build the aligned query covering ``n_windows`` starting at ``first_window``.
@@ -215,7 +255,6 @@ class BasicWindowPlan:
                 f"windows [{first_window}, {first_window + n_windows}) out of range "
                 f"[0, {self.n_windows})"
             )
-        bounds = self.boundaries
-        start = int(bounds[first_window])
-        stop = int(bounds[first_window + n_windows])
+        start = self._edge(first_window)
+        stop = self._edge(first_window + n_windows)
         return QueryWindow(end=stop - 1, length=stop - start)

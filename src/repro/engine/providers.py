@@ -32,12 +32,13 @@ be shared by any number of concurrent readers:
   per-record deserialization and no copies for contiguous window ranges
   (the common aligned-query case). Cold queries skip the database entirely
   and read straight through the OS page cache. Stores carrying persisted
-  ``prefix_*`` tables additionally answer contiguous ranges — plus the
-  head/tail fragments of a non-aligned window, when raw data is present —
-  from two mapped prefix rows (:meth:`SketchProvider.prefix_matrix`),
-  independent of the range length.
+  ``prefix_*`` tables additionally answer contiguous ranges from two
+  mapped prefix rows (:meth:`SketchProvider.prefix_matrix`), independent of
+  the range length; a non-aligned window's raw head/tail points, when raw
+  data is present, are centered by the tables' offsets and folded in
+  directly.
 * :class:`PrefixProvider` — a wrapper over *any* of the above: contiguous
-  selections, with or without head/tail fragments, are answered in
+  selections, with or without head/tail points, are answered in
   ``O(n^2)`` from prefix-aggregate tables (:mod:`repro.core.prefix`) —
   built at construction from one streaming pass over the wrapped backend,
   or adopted zero-copy from an :class:`~repro.storage.mmap_store.MmapStore`'s
@@ -55,6 +56,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.packing import pack_symmetric, packed_index, unpack_symmetric
+from repro.core.prefix import (
+    PrefixAggregates,
+    combine_matrix_prefix,
+    combine_row_prefix,
+)
 from repro.core.segmentation import BasicWindowPlan
 from repro.core.sketch import Sketch
 from repro.core.stats import series_window_stats
@@ -62,7 +68,7 @@ from repro.exceptions import DataError, SketchError, StorageError
 from repro.storage.base import SketchStore, StoreMetadata, WindowRecord
 
 if TYPE_CHECKING:
-    from repro.core.prefix import Fragment
+    from repro.core.exact import Fragment
     from repro.storage.mmap_store import MmapStore
 
 __all__ = [
@@ -215,13 +221,23 @@ class SketchProvider(abc.ABC):
         rows = np.asarray(rows, dtype=np.int64)
         return self.covs(indices)[:, rows, :]
 
-    def fragment(
-        self, start: int, stop: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    def fragment(self, start: int, stop: int) -> Fragment:
         """Sketch a raw ``[start, stop)`` fragment (arbitrary-window support).
 
-        Backends without raw data raise :class:`SketchError` — the paper's
-        sketch-only deployment supports aligned queries only.
+        The direct kernel's input; the prefix kernels take the raw points
+        instead (:meth:`fragment_points`). Backends without raw data raise
+        :class:`SketchError` — the paper's sketch-only deployment supports
+        aligned queries only.
+        """
+        raise SketchError(_NO_RAW_MESSAGE)
+
+    def fragment_points(self, spans: Sequence[tuple[int, int]]) -> np.ndarray:
+        """Raw points of the ``[start, stop)`` ``spans``, side by side.
+
+        The prefix kernels' fragment input: one ``(n, k)`` block holding
+        every span's columns in order (:func:`~repro.core.exact.fragment_points`).
+        Backends without raw data raise :class:`SketchError`, like
+        :meth:`fragment`.
         """
         raise SketchError(_NO_RAW_MESSAGE)
 
@@ -245,15 +261,16 @@ class SketchProvider(abc.ABC):
         return None
 
     def prefix_matrix(
-        self, lo: int, hi: int, fragments: Sequence[Fragment] = ()
+        self, lo: int, hi: int, points: np.ndarray | None = None
     ) -> np.ndarray:
         """All-pairs correlation over windows ``[lo, hi)`` from prefix tables.
 
-        ``fragments`` are the sketches of a non-aligned window's raw
-        head/tail fragments (:meth:`fragment`), folded in as extra Lemma 1
-        terms (:func:`~repro.core.prefix.combine_matrix_prefix`). Only
-        meaningful for bounds previously returned by :meth:`prefix_range`;
-        backends without prefix tables raise.
+        ``points`` are a non-aligned window's raw head/tail points as one
+        ``(n, k)`` block (:meth:`fragment_points`), centered by the tables'
+        offsets and folded in directly
+        (:func:`~repro.core.prefix.combine_matrix_prefix`). Only meaningful
+        for bounds previously returned by :meth:`prefix_range`; backends
+        without prefix tables raise.
         """
         raise SketchError(
             f"the {self.backend_name!r} backend holds no prefix-aggregate "
@@ -261,15 +278,16 @@ class SketchProvider(abc.ABC):
         )
 
     def prefix_row(
-        self, lo: int, hi: int, row: int, fragments: Sequence[Fragment] = ()
+        self, lo: int, hi: int, row: int, points: np.ndarray | None = None
     ) -> np.ndarray:
         """One correlation row over windows ``[lo, hi)`` from prefix tables.
 
         The ``O(n)`` anchor-row primitive Algorithm 5's pruning path uses
         (:func:`~repro.core.prefix.combine_row_prefix`): only row ``row`` of
         the cross table is touched, so an anchor row costs ``O(n)`` from the
-        tables instead of re-streaming the whole selection. ``fragments``
-        are as for :meth:`prefix_matrix`. Only meaningful for bounds
+        tables instead of re-streaming the whole selection (plus ``O(n k)``
+        for ``k`` fragment points). ``points`` are as for
+        :meth:`prefix_matrix`. Only meaningful for bounds
         previously returned by :meth:`prefix_range`; backends without prefix
         tables raise.
         """
@@ -319,12 +337,22 @@ class SketchProvider(abc.ABC):
         return indices
 
 
-def _raw_fragment(
-    data: np.ndarray, start: int, stop: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def _raw_fragment(data: np.ndarray | None, start: int, stop: int) -> Fragment:
     from repro.core.exact import fragment_stats
 
+    if data is None:
+        raise SketchError(_NO_RAW_MESSAGE)
     return fragment_stats(data, start, stop)
+
+
+def _raw_points(
+    data: np.ndarray | None, spans: Sequence[tuple[int, int]]
+) -> np.ndarray:
+    from repro.core.exact import fragment_points
+
+    if data is None:
+        raise SketchError(_NO_RAW_MESSAGE)
+    return fragment_points(data, spans)
 
 
 class InMemoryProvider(SketchProvider):
@@ -394,9 +422,10 @@ class InMemoryProvider(SketchProvider):
         return self._sketch.covs[idx][:, rows, :]
 
     def fragment(self, start, stop):
-        if self._data is None:
-            raise SketchError(_NO_RAW_MESSAGE)
         return _raw_fragment(self._data, start, stop)
+
+    def fragment_points(self, spans):
+        return _raw_points(self._data, spans)
 
     def materialize(self, indices=None):
         if indices is None:
@@ -426,14 +455,18 @@ def _prefix_bounds(selection) -> tuple[int, int] | None:
     """Half-open bounds of a selection's full windows if contiguous, else None.
 
     The shape every prefix-aggregate path requires: at least one basic
-    window and an ascending run of indices. Raw head/tail fragments do not
-    matter here — the prefix kernels fold them in as extra terms.
+    window and an ascending run of indices. An aligned selection carries its
+    run (``O(1)``); only a hand-built index list is scanned. Raw head/tail
+    fragments do not matter here — the prefix kernels fold their points in.
     """
-    indices = np.asarray(selection.full_windows, dtype=np.int64)
-    run = _contiguous_slice(indices)
-    if run is None or run.stop <= run.start:
-        return None
-    return int(run.start), int(run.stop)
+    run = selection.run
+    if run is None:
+        sl = _contiguous_slice(np.asarray(selection.full_windows, dtype=np.int64))
+        if sl is None:
+            return None
+        run = (sl.start, sl.stop)
+    lo, hi = int(run[0]), int(run[1])
+    return (lo, hi) if hi > lo else None
 
 
 class MmapProvider(SketchProvider):
@@ -452,8 +485,9 @@ class MmapProvider(SketchProvider):
     :meth:`~repro.storage.mmap_store.MmapStore.build_prefix`) additionally
     serve contiguous selections straight from two mapped prefix rows —
     ``O(n^2)`` per query regardless of how many windows the range spans, and
-    still zero-copy. A non-aligned window's head/tail fragments are sketched
-    from ``data`` and folded in as two more Lemma 1 terms; the streaming
+    still zero-copy. A non-aligned window's head/tail points are read from
+    ``data``, centered by the tables' offsets and folded in directly
+    (``O(n^2 k)`` for ``k`` points, one symmetric matmul); the streaming
     path remains for ``prefix=False``, selections with no full basic window,
     and interiors past stale prefix rows (an append since the last
     ``build_prefix``).
@@ -562,19 +596,15 @@ class MmapProvider(SketchProvider):
             return None
         return bounds
 
-    def prefix_matrix(self, lo, hi, fragments=()):
+    def prefix_matrix(self, lo, hi, points=None):
         if self._prefix is None:
-            return super().prefix_matrix(lo, hi, fragments)
-        from repro.core.prefix import combine_matrix_prefix
+            return super().prefix_matrix(lo, hi, points)
+        return combine_matrix_prefix(self._prefix, lo, hi, points)
 
-        return combine_matrix_prefix(self._prefix, lo, hi, fragments)
-
-    def prefix_row(self, lo, hi, row, fragments=()):
+    def prefix_row(self, lo, hi, row, points=None):
         if self._prefix is None:
-            return super().prefix_row(lo, hi, row, fragments)
-        from repro.core.prefix import combine_row_prefix
-
-        return combine_row_prefix(self._prefix, lo, hi, row, fragments)
+            return super().prefix_row(lo, hi, row, points)
+        return combine_row_prefix(self._prefix, lo, hi, row, points)
 
     def window_stats(self, indices):
         idx = self._check_indices(indices)
@@ -623,9 +653,10 @@ class MmapProvider(SketchProvider):
         return self._packed_covs(indices)[:, packed_index(self.n_series)[2][rows]]
 
     def fragment(self, start, stop):
-        if self._data is None:
-            raise SketchError(_NO_RAW_MESSAGE)
         return _raw_fragment(self._data, start, stop)
+
+    def fragment_points(self, spans):
+        return _raw_points(self._data, spans)
 
 
 class ChunkedBuildProvider(SketchProvider):
@@ -740,6 +771,9 @@ class ChunkedBuildProvider(SketchProvider):
     def fragment(self, start, stop):
         return _raw_fragment(self._data, start, stop)
 
+    def fragment_points(self, spans):
+        return _raw_points(self._data, spans)
+
     def save_to(self, store: SketchStore, batch_size: int = 16) -> None:
         """Stream the full sketch into a store, one window batch at a time.
 
@@ -775,8 +809,6 @@ class ChunkedBuildProvider(SketchProvider):
 
 def _build_aggregates(base: SketchProvider, chunk_windows: int):
     """Prefix tables over every window of ``base``, in one streaming pass."""
-    from repro.core.prefix import PrefixAggregates
-
     n_windows = base.n_windows
     indices = np.arange(n_windows, dtype=np.int64)
     means, _, sizes = base.window_stats(indices)
@@ -798,11 +830,11 @@ class PrefixProvider(SketchProvider):
     non-aligned one with at least one full basic window — are answered in
     ``O(n^2)`` from cumulative Lemma 1 aggregates
     (:mod:`repro.core.prefix`): two table rows and a subtraction, regardless
-    of how many windows the range spans, plus the raw head/tail fragments
-    (sketched by the wrapped provider) as two more terms. Everything else
-    (genuinely non-contiguous selections, row blocks, raw fragments)
-    delegates to the wrapped provider unchanged, so the wrapper is a
-    drop-in backend for every engine.
+    of how many windows the range spans, plus the raw head/tail points (read
+    from the wrapped provider) centered by the tables' offsets and folded in
+    directly. Everything else (genuinely non-contiguous selections, row
+    blocks, raw fragments) delegates to the wrapped provider unchanged, so
+    the wrapper is a drop-in backend for every engine.
 
     The tables come from one of two places:
 
@@ -904,6 +936,9 @@ class PrefixProvider(SketchProvider):
     def fragment(self, start, stop):
         return self._base.fragment(start, stop)
 
+    def fragment_points(self, spans):
+        return self._base.fragment_points(spans)
+
     def materialize(self, indices=None):
         return self._base.materialize(indices)
 
@@ -913,22 +948,18 @@ class PrefixProvider(SketchProvider):
             return None
         return bounds
 
-    def prefix_matrix(self, lo, hi, fragments=()):
-        from repro.core.prefix import combine_matrix_prefix
-
+    def prefix_matrix(self, lo, hi, points=None):
         if not 0 <= lo < hi <= self.n_windows:
             raise SketchError(
                 f"prefix range [{lo}, {hi}) outside the sketched windows "
                 f"[0, {self.n_windows})"
             )
-        return combine_matrix_prefix(self._aggregates, lo, hi, fragments)
+        return combine_matrix_prefix(self._aggregates, lo, hi, points)
 
-    def prefix_row(self, lo, hi, row, fragments=()):
-        from repro.core.prefix import combine_row_prefix
-
+    def prefix_row(self, lo, hi, row, points=None):
         if not 0 <= lo < hi <= self.n_windows:
             raise SketchError(
                 f"prefix range [{lo}, {hi}) outside the sketched windows "
                 f"[0, {self.n_windows})"
             )
-        return combine_row_prefix(self._aggregates, lo, hi, row, fragments)
+        return combine_row_prefix(self._aggregates, lo, hi, row, points)

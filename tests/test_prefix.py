@@ -7,7 +7,7 @@ import pytest
 
 from repro.api.client import TsubasaClient
 from repro.api.spec import QuerySpec, WindowSpec
-from repro.core.exact import TsubasaHistorical
+from repro.core.exact import TsubasaHistorical, fragment_points
 from repro.core.lemma1 import combine_matrix, combine_row
 from repro.core.matrix import threshold_adjacency
 from repro.core.packing import pack_symmetric
@@ -138,6 +138,37 @@ class TestKernel:
                 combine_matrix_prefix(aggregates, lo, hi)
         with pytest.raises(SketchError):
             combine_row_prefix(aggregates, 0, 10, 99)
+
+    def test_folds_raw_fragment_points(self, sketch, data):
+        """Head/tail points side by side: matrix and row kernels agree with
+        each other and with np.corrcoef of the raw window."""
+        aggregates = build_prefix_aggregates(
+            sketch.means, sketch.stds, sketch.covs, sketch.sizes
+        )
+        points = fragment_points(data, [(8, 15), (885, 896)])
+        assert points.shape == (sketch.n_series, 18)
+        corr = combine_matrix_prefix(aggregates, 1, 59, points)
+        assert np.array_equal(corr, corr.T)
+        np.testing.assert_allclose(
+            corr, np.corrcoef(data[:, 8:896]), rtol=0.0, atol=PREFIX_ATOL
+        )
+        for row in (0, 4, 8):
+            np.testing.assert_allclose(
+                combine_row_prefix(aggregates, 1, 59, row, points),
+                corr[row],
+                rtol=0.0,
+                atol=1e-12,
+            )
+        # No points and an empty block fold nothing: the aligned bits.
+        aligned = combine_matrix_prefix(aggregates, 1, 59)
+        empty = np.empty((sketch.n_series, 0))
+        assert combine_matrix_prefix(aggregates, 1, 59, empty).tobytes() == (
+            aligned.tobytes()
+        )
+        with pytest.raises(SketchError, match="incompatible"):
+            combine_matrix_prefix(aggregates, 1, 59, points[:-1])
+        with pytest.raises(SketchError, match="incompatible"):
+            combine_row_prefix(aggregates, 1, 59, 0, points[0])
 
     def test_extend_rejects_overflow_and_shape_mismatch(self, sketch):
         aggregates = PrefixAggregates.allocate(np.zeros(sketch.n_series), 10)
@@ -320,6 +351,21 @@ class TestNonAlignedRouting:
                     result.value.values, reference, rtol=0.0,
                     atol=PREFIX_ATOL, err_msg=label,
                 )
+
+    def test_prefix_path_sketches_no_fragment(self, data, mmap_path, monkeypatch):
+        """Served prefix answers fold raw points; ``fragment`` (the direct
+        kernel's sketch) is never called."""
+
+        def sketch_fragment(*_args):
+            raise AssertionError("a fragment was sketched on the prefix path")
+
+        monkeypatch.setattr(MmapProvider, "fragment", sketch_fragment)
+        result = self.matrix(MmapProvider(mmap_path, data=data))
+        assert result.provenance.path == "prefix"
+        np.testing.assert_allclose(
+            result.value.values, np.corrcoef(data[:, 8:896]),
+            rtol=0.0, atol=PREFIX_ATOL,
+        )
 
     def test_client_data_override_supplies_fragments(self, data, mmap_path):
         client = TsubasaClient(provider=MmapProvider(mmap_path), data=data)

@@ -6,8 +6,9 @@ agreement with :func:`~repro.core.lemma1.combine_matrix` within
 the regimes a deployment actually hits: random sizes and ranges, long
 histories (``ns >= 5000``), huge mean offsets (the naive-variance
 cancellation trap), near-constant series, and drifting means. Non-aligned
-``[start, stop)`` windows add raw head/tail fragment terms; those answers
-are also checked against ``np.corrcoef`` of the raw window, including a
+``[start, stop)`` windows feed the prefix kernel their raw head/tail points;
+those answers are checked against the direct kernel over the fragments'
+sketches and against ``np.corrcoef`` of the raw window, including a
 head fragment whose level shift puts its mean far from the build-time
 offsets. Every case is generated from a seed printed on failure, so a red
 run is reproducible with ``_run_case(seed)`` / ``_run_fragment_case(seed)``.
@@ -18,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.exact import fragment_stats
+from repro.core.exact import fragment_points, fragment_stats
 from repro.core.lemma1 import combine_matrix
 from repro.core.prefix import (
     PREFIX_ATOL,
@@ -158,13 +159,13 @@ def _check_window(sketch, aggregates, data, start, stop, seed) -> bool:
     idx = selection.full_windows
     if idx.size == 0:
         return False
-    fragments = [
-        fragment_stats(data, *span)
-        for span in (selection.head, selection.tail)
-        if span is not None
-    ]
+    spans = [span for span in (selection.head, selection.tail) if span is not None]
+    fragments = [fragment_stats(data, *span) for span in spans]
     prefix = combine_matrix_prefix(
-        aggregates, int(idx[0]), int(idx[-1]) + 1, fragments
+        aggregates,
+        int(idx[0]),
+        int(idx[-1]) + 1,
+        fragment_points(data, spans) if spans else None,
     )
     means = [sketch.means[:, idx]] + [f[0][:, None] for f in fragments]
     stds = [sketch.stds[:, idx]] + [f[1][:, None] for f in fragments]

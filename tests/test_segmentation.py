@@ -155,6 +155,75 @@ class TestAlign:
         assert all(stop > start for start, stop in ranges)
 
 
+def _reference_align(plan, query):
+    """``align`` as it was before the arithmetic plan: searchsorted over
+    the plan's ``(n_windows + 1,)`` boundary array."""
+    bounds = plan.boundaries
+    first_full = int(np.searchsorted(bounds, query.start, side="left"))
+    last_edge = int(np.searchsorted(bounds, query.stop, side="right")) - 1
+    if first_full >= last_edge:
+        return np.empty(0, dtype=np.int64), (query.start, query.stop), None
+    head = (query.start, int(bounds[first_full]))
+    tail = (int(bounds[last_edge]), query.stop)
+    return (
+        np.arange(first_full, last_edge, dtype=np.int64),
+        head if head[1] > head[0] else None,
+        tail if tail[1] > tail[0] else None,
+    )
+
+
+@st.composite
+def _plans_and_queries(draw):
+    """A plan (possibly with a short trailing window) and one query of a
+    drawn kind: arbitrary, ending at ``length``, inside one basic window,
+    straddling two, or aligned."""
+    window_size = draw(st.integers(1, 40))
+    full = draw(st.integers(1, 30))
+    trailing = draw(st.integers(0, window_size - 1))  # 0 = no short window
+    plan = BasicWindowPlan(length=full * window_size + trailing, window_size=window_size)
+    length, n_windows = plan.length, plan.n_windows
+    kind = draw(st.sampled_from(["any", "to_end", "one", "two", "aligned"]))
+    if kind == "any":
+        start = draw(st.integers(0, length - 1))
+        stop = draw(st.integers(start + 1, length))
+    elif kind == "to_end":
+        stop = length
+        start = draw(st.integers(0, length - 1))
+    elif kind == "one":
+        lo, hi = plan.window_range(draw(st.integers(0, n_windows - 1)))
+        start = draw(st.integers(lo, hi - 1))
+        stop = draw(st.integers(start + 1, hi))
+    elif kind == "two" and n_windows >= 2:
+        j = draw(st.integers(0, n_windows - 2))
+        lo, _ = plan.window_range(j)
+        mid, hi = plan.window_range(j + 1)
+        start = draw(st.integers(lo, mid - 1))
+        stop = draw(st.integers(mid + 1, hi)) if hi > mid + 1 else hi
+    else:
+        first = draw(st.integers(0, n_windows - 1))
+        count = draw(st.integers(1, n_windows - first))
+        query = plan.aligned_query(first, count)
+        start, stop = query.start, query.stop
+    return plan, QueryWindow(end=stop - 1, length=stop - start)
+
+
+class TestAlignMatchesSearchsorted:
+    @given(case=_plans_and_queries())
+    @settings(max_examples=500, deadline=None)
+    def test_property_same_selection(self, case):
+        plan, query = case
+        selection = plan.align(query)
+        full, head, tail = _reference_align(plan, query)
+        np.testing.assert_array_equal(selection.full_windows, full)
+        assert selection.full_windows.dtype == np.int64
+        assert selection.n_segments == full.size + len(selection.spans)
+        assert selection.head == head
+        assert selection.tail == tail
+        assert selection.run == (
+            (int(full[0]), int(full[-1]) + 1) if full.size else (0, 0)
+        )
+
+
 class TestAlignedQuery:
     def test_roundtrip(self):
         plan = BasicWindowPlan(length=300, window_size=50)

@@ -566,24 +566,49 @@ def test_tsu008_pair_enumeration_and_helper_module_pass(tmp_path):
         {
             "src/repro/core/queries.py": """\
             import numpy as np
+            from repro.core.packing import pair_index
 
-            def pairs(n):
-                return np.triu_indices(n, k=1), np.triu_indices(n, 1)
+            def pairs(n, offset):
+                return pair_index(n), np.triu_indices(n, k=2), np.triu_indices(n, offset)
             """,
             "src/repro/core/packing.py": """\
             import numpy as np
 
             def packed_index(n):
                 return np.triu_indices(n)
+
+            def pair_index(n):
+                return np.triu_indices(n, k=1)
             """,
             "tests/test_blobs.py": """\
             import numpy as np
 
             upper = np.triu_indices(4)
+            pairs = np.triu_indices(4, k=1)
             """,
         },
     )
     assert run(tmp_path, select={"TSU008"}) == []
+
+
+def test_tsu008_flags_pair_maps(tmp_path):
+    write_tree(
+        tmp_path,
+        {
+            "src/repro/analysis/geography.py": """\
+            import numpy as np
+            from numpy import tril_indices
+
+            def pairs(n):
+                rows, cols = np.triu_indices(n, k=1)
+                return rows, cols, np.triu_indices(n, 1), tril_indices(n, k=1)
+            """
+        },
+    )
+    diagnostics = run(tmp_path, select={"TSU008"})
+    assert codes(diagnostics) == ["TSU008"] * 3
+    assert [d.line for d in diagnostics] == [5, 6, 6]
+    assert all("pair_index" in d.message for d in diagnostics)
 
 
 def test_tsu008_suppression_with_reason(tmp_path):

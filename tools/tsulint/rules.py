@@ -40,12 +40,13 @@ TSU007    No ``from repro.<module> import _private`` in ``src/repro/``.
           A leading underscore says "only this module relies on it"; a
           helper another module needs gets a public name, so a rename
           cannot silently break the importer.
-TSU008    No diagonal-including ``np.triu_indices(n)`` (or
-          ``tril_indices``) packing in ``src/repro/`` outside
+TSU008    No ``np.triu_indices``/``tril_indices`` triangle map with
+          ``k`` absent, 0 or 1 in ``src/repro/`` outside
           ``repro/core/packing.py``. Symmetric pair matrices are packed
           and unpacked through ``packed_index`` alone, so stores and
-          kernels agree on one triangle order; pair enumeration with
-          ``k=1`` stays legal.
+          kernels agree on one triangle order, and distinct pairs are
+          enumerated through the cached ``pair_index`` instead of a
+          fresh ``k=1`` map per call.
 TSU009    Sketch providers are read-only after construction: in classes
           deriving from ``SketchProvider`` under ``repro/engine/``, no
           assignment rooted at ``self`` (plain, augmented, annotated,
@@ -641,8 +642,9 @@ class TrianglePacking(Rule):
     code = "TSU008"
     name = "triangle-packing"
     description = (
-        "no diagonal-including np.triu_indices/tril_indices packing in "
-        "src/repro outside repro/core/packing.py; use packed_index"
+        "no np.triu_indices/tril_indices packing or k=1 pair maps in "
+        "src/repro outside repro/core/packing.py; use packed_index or "
+        "pair_index"
     )
 
     _FUNCTIONS = frozenset({"triu_indices", "tril_indices"})
@@ -651,29 +653,39 @@ class TrianglePacking(Rule):
         return _in_library(path) and not path.endswith("repro/core/packing.py")
 
     @staticmethod
-    def _includes_diagonal(call: ast.Call) -> bool:
-        """Whether the call's ``k`` offset is absent or a literal 0."""
+    def _offset(call: ast.Call) -> object:
+        """The call's ``k`` offset: 0 when absent, ``None`` when not a literal."""
         offset: ast.AST | None = call.args[1] if len(call.args) > 1 else None
         for keyword in call.keywords:
             if keyword.arg == "k":
                 offset = keyword.value
-        return offset is None or (
-            isinstance(offset, ast.Constant) and offset.value == 0
-        )
+        if offset is None:
+            return 0
+        return offset.value if isinstance(offset, ast.Constant) else None
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         for node in ast.walk(ctx.tree):
-            if (
+            if not (
                 isinstance(node, ast.Call)
                 and terminal_name(node.func) in self._FUNCTIONS
-                and self._includes_diagonal(node)
             ):
+                continue
+            offset = self._offset(node)
+            if offset == 0:
                 yield self.diag(
                     ctx.path,
                     node,
                     f"{terminal_name(node.func)} with the diagonal packs a "
                     "symmetric matrix outside repro.core.packing; use "
                     "packed_index/pack_symmetric/unpack_symmetric",
+                )
+            elif offset == 1:
+                yield self.diag(
+                    ctx.path,
+                    node,
+                    f"{terminal_name(node.func)} with k=1 rebuilds the pair "
+                    "map on every call; use the cached "
+                    "repro.core.packing.pair_index",
                 )
 
 
