@@ -1,8 +1,8 @@
 """The versioned TSUBASA wire protocol (protocol version 1).
 
-Every network transport — the HTTP/WebSocket server (:mod:`repro.api.server`),
-the remote client (:mod:`repro.api.remote`), and the ``tsubasa serve``
-JSON-lines mode — speaks the same four framed envelopes defined here:
+Every network transport — the HTTP/WebSocket server (:mod:`repro.api.server`,
+behind ``tsubasa serve``) and the remote client (:mod:`repro.api.remote`) —
+speaks the same four framed envelopes defined here:
 
 * :class:`Request` — one :class:`~repro.api.spec.QuerySpec` plus a
   caller-chosen ``id``. Responses carry the id back, so a client may pipeline
@@ -23,11 +23,6 @@ on a request means "current version"; any other value is rejected up front
 1 on one endpoint. Unknown envelope fields are rejected — strictness is the
 point of a formalized surface (a frame carrying stray keys is more likely a
 confused client than an intentional no-op).
-
-For backward compatibility with the pre-protocol ``tsubasa serve`` wire
-format, :func:`parse_request` also accepts the *inline* form, where the
-spec's fields sit at the frame's top level next to ``id`` — it is
-normalized into the same :class:`Request`.
 
 :func:`value_from_payload` is the client-side inverse of
 :meth:`~repro.api.spec.QueryResult.payload`: it rebuilds the op's natural
@@ -142,30 +137,24 @@ class Request:
 def parse_request(payload: Any) -> Request:
     """Parse and strictly validate a request frame.
 
-    Accepts the framed form (``{"protocol": 1, "id": ..., "spec": {...}}``)
-    and, for backward compatibility with the pre-protocol JSON-lines serve
-    format, the inline form where the spec's fields sit at the top level
-    next to an optional ``id``. Raises
-    :class:`~repro.exceptions.DataError` on malformed frames and on
-    protocol-version mismatches.
+    Accepts only the framed form (``{"protocol": 1, "id": ..., "spec":
+    {...}}``, ``protocol`` and ``id`` optional). Raises
+    :class:`~repro.exceptions.DataError` on malformed frames (including a
+    frame without ``spec``) and on protocol-version mismatches.
     """
     if not isinstance(payload, dict):
         raise DataError(f"request frame must be a JSON object, got {payload!r}")
     _check_version(payload)
     request_id = _check_id(payload.get("id"))
-    if "spec" in payload:
-        unknown = set(payload) - {"protocol", "id", "spec"}
-        if unknown:
-            raise DataError(f"unknown request frame fields: {sorted(unknown)}")
-        spec = QuerySpec.from_dict(payload["spec"])
-    else:
-        inline = {
-            key: value
-            for key, value in payload.items()
-            if key not in ("protocol", "id")
-        }
-        spec = QuerySpec.from_dict(inline)
-    return Request(spec=spec, id=request_id)
+    if "spec" not in payload:
+        raise DataError(
+            "request frame has no 'spec' (expected {'protocol': 1, "
+            "'id': ..., 'spec': {...}})"
+        )
+    unknown = set(payload) - {"protocol", "id", "spec"}
+    if unknown:
+        raise DataError(f"unknown request frame fields: {sorted(unknown)}")
+    return Request(spec=QuerySpec.from_dict(payload["spec"]), id=request_id)
 
 
 @dataclass(frozen=True)

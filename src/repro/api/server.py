@@ -1,13 +1,13 @@
-"""One request core for every transport, behind three byte adapters.
+"""One request core for both transports, behind two byte adapters.
 
 :class:`TsubasaServer` owns the transport-neutral request core: a decoded
-frame goes through :func:`~repro.api.protocol.parse_request` and one id
-fallback, then either through the service as a query (a completion comes
-back) or through the one subscription loop, which bridges a
+frame goes through :func:`~repro.api.protocol.parse_request`, then either
+through the service as a query (a completion comes back) or through the
+subscription loop, which bridges a
 :class:`~repro.streams.hub.SnapshotHub` into
 :class:`~repro.api.protocol.StreamEvent` envelopes (ack, gap, events, then a
-completion or a lag error). Three adapters only move bytes in and
-envelopes out:
+completion or a lag error). Two adapters only move bytes in and envelopes
+out:
 
 * **HTTP/1.1** (keep-alive) for request/response:
 
@@ -25,10 +25,6 @@ envelopes out:
 * **RFC 6455 WebSockets** on ``GET /v1/ws``: each text message is a request
   frame; completions come back **out of order**, matched by ``id``, and
   ``subscribe`` streams into the connection's bounded send queue.
-* **JSON lines** (:meth:`TsubasaServer.serve_json_lines`, the default
-  ``tsubasa serve`` mode): one request frame per input line, one envelope
-  per output line, queries answered in submission order and
-  ``subscribe`` streams interleaved with them.
 
 HTTP and WebSocket share one listening socket. Deployment properties:
 
@@ -66,7 +62,7 @@ import socket
 import threading
 from collections.abc import AsyncIterator, Awaitable, Callable, Iterable
 from time import perf_counter
-from typing import Any, TextIO
+from typing import Any
 from urllib.parse import parse_qs
 
 from repro.api.frames import (
@@ -363,9 +359,8 @@ class TsubasaServer:
         service: The query service answering request frames. The server
             owns its drain: :meth:`aclose` calls ``service.aclose()``.
         hub: Optional :class:`~repro.streams.hub.SnapshotHub` enabling the
-            ``subscribe`` op on WebSocket connections and JSON lines;
-            without one, subscriptions are rejected with a ``ServiceError``
-            envelope.
+            ``subscribe`` op on WebSocket connections; without one,
+            subscriptions are rejected with a ``ServiceError`` envelope.
         max_inflight: Concurrent requests allowed per WebSocket connection
             (and per HTTP batch); excess requests get immediate error
             envelopes.
@@ -655,27 +650,17 @@ class TsubasaServer:
             self._inflight_total -= 1
         return _Completion(request_id, result=result)
 
-    def _parse_frame(
-        self, payload: Any, fallback_id: str | int | None = None
-    ) -> Request | _Completion:
-        """``parse_request`` plus the id fallback every transport shares.
+    def _parse_frame(self, payload: Any) -> Request | _Completion:
+        """``parse_request``, or the error completion of an invalid frame.
 
-        A valid frame without an id takes ``fallback_id`` (stdin passes the
-        line number; sockets pass nothing and get :meth:`_next_id` ids when
-        answered). An invalid frame becomes its error completion, under the
-        frame's own id only when that id is itself valid, else under
-        ``fallback_id``.
+        The error completion carries the frame's own id only when that id is
+        itself valid, else no id. A valid frame without an id gets a
+        :meth:`_next_id` id when answered.
         """
         try:
-            request = parse_request(payload)
+            return parse_request(payload)
         except TsubasaError as exc:
-            frame_id = self._frame_id(payload)
-            return _Completion(
-                fallback_id if frame_id is None else frame_id, error=exc
-            )
-        if request.id is None and fallback_id is not None:
-            request = Request(spec=request.spec, id=fallback_id)
-        return request
+            return _Completion(self._frame_id(payload), error=exc)
 
     async def _answer_frame(self, payload: Any) -> _Completion:
         """Parse + execute one raw frame, never raising."""
@@ -689,7 +674,7 @@ class TsubasaServer:
         request: Request,
         send: Callable[[dict[str, Any]], Awaitable[bool]],
     ) -> bool:
-        """The subscription loop every streaming transport runs.
+        """The subscription loop behind a WebSocket ``subscribe``.
 
         Checks the hub and the window, subscribes, then sends the ack, the
         gap event a resume may owe, one :class:`StreamEvent` per snapshot,
@@ -707,7 +692,7 @@ class TsubasaServer:
                 raise ServiceError(
                     "this server has no live stream attached; subscribe is "
                     "unavailable (tsubasa serve attaches one with "
-                    "--stream-data DATA, on stdin or with --http)"
+                    "--stream-data DATA)"
                 )
             points = _window_points(spec.window, hub.window_size)
             if points != hub.window_points:
@@ -826,96 +811,6 @@ class TsubasaServer:
         if exc is not None:
             logger.error("stream pump failed: %s", exc)
         self._hub.close()
-
-    # -- JSON lines ----------------------------------------------------------
-
-    async def serve_json_lines(
-        self, stdin: TextIO, stdout: TextIO, max_pending: int = 256
-    ) -> dict[str, int]:
-        """Serve request frames from ``stdin`` lines until EOF.
-
-        Each line is a request frame (the framed ``{"protocol": 1, "id":
-        ..., "spec": {...}}`` form or the legacy inline one) and each
-        ``stdout`` line one envelope; a frame without a valid id is
-        answered under its line number. Queries are submitted as they
-        arrive (so in-flight windows coalesce) and answered in submission
-        order. A ``subscribe`` streams its ack, events and completion as
-        lines interleaved with them. Once ``max_pending`` envelopes wait
-        ahead of the printer the reader stops consuming stdin, so a huge
-        piped batch cannot pile up results. EOF stops reading, but open
-        subscriptions stream on until the consumer hangs up (a failed
-        write) or the stream ends.
-
-        Starts the service; the caller closes the server. Returns what the
-        consumer observed: ``ok`` and ``failed`` envelopes written (stream
-        events count as ok), the ``malformed`` frames among the failed, and
-        the envelopes ``discarded`` after a hangup.
-        """
-        await self._service.start()
-        loop = asyncio.get_running_loop()
-        lines: asyncio.Queue = asyncio.Queue(maxsize=max_pending)
-        hangup = asyncio.Event()
-        seen = {"ok": 0, "failed": 0, "malformed": 0, "discarded": 0}
-
-        async def print_lines() -> None:
-            # A query holds its place in line as the task answering it;
-            # everything else is queued as a ready envelope.
-            while (item := await lines.get()) is not None:
-                if isinstance(item, asyncio.Task):
-                    item = (await item).to_dict()
-                if hangup.is_set():
-                    seen["discarded"] += 1
-                    continue
-                try:
-                    stdout.write(json.dumps(item) + "\n")
-                    stdout.flush()
-                except OSError:
-                    hangup.set()  # e.g. `tsubasa serve | head`
-                    seen["discarded"] += 1
-                    continue
-                # Stream events carry no "ok" flag; they are successes.
-                seen["ok" if item.get("ok", "event" in item) else "failed"] += 1
-
-        async def send(envelope: dict[str, Any]) -> bool:
-            await lines.put(envelope)
-            return True
-
-        printer = loop.create_task(print_lines())
-        streams: set[asyncio.Task] = set()
-        n_lines = 0
-        while True:
-            line = await loop.run_in_executor(None, stdin.readline)
-            if not line or hangup.is_set():
-                # EOF, or nobody can observe further responses: stop
-                # submitting work whose results would be discarded.
-                break
-            line = line.strip()
-            if not line:
-                continue
-            n_lines += 1
-            try:
-                payload = json.loads(line)
-            except ValueError as exc:
-                parsed: Request | _Completion = _Completion(n_lines, error=exc)
-            else:
-                parsed = self._parse_frame(payload, n_lines)
-            if isinstance(parsed, _Completion):
-                seen["malformed"] += 1
-                await lines.put(parsed.to_dict())
-            elif parsed.spec.op == "subscribe":
-                task = loop.create_task(self._stream(parsed, send))
-                streams.add(task)
-                task.add_done_callback(streams.discard)
-            else:
-                await lines.put(loop.create_task(self._answer(parsed)))
-        while streams and not hangup.is_set():
-            await asyncio.wait(streams, timeout=0.2)
-        for task in list(streams):
-            task.cancel()
-        await asyncio.gather(*streams, return_exceptions=True)
-        await lines.put(None)
-        await printer
-        return seen
 
     # -- HTTP ----------------------------------------------------------------
 

@@ -10,8 +10,8 @@ by :class:`~repro.api.client.TsubasaClient` and reported back in the
 :class:`QueryResult` envelope's :class:`Provenance`.
 
 A spec round-trips through plain dictionaries and JSON (``to_dict`` /
-``from_dict``, ``to_json`` / ``from_json``), which is what the ``tsubasa
-serve`` JSON-lines protocol and any future HTTP frontend speak.
+``from_dict``, ``to_json`` / ``from_json``), which is what the wire
+protocol (:mod:`repro.api.protocol`) carries as a request frame's ``spec``.
 """
 
 from __future__ import annotations
@@ -349,7 +349,7 @@ class QuerySpec:
         return cls(**kwargs)
 
     def to_json(self) -> str:
-        """One-line JSON form (the ``tsubasa serve`` wire format)."""
+        """One-line JSON form (a request frame's ``spec``)."""
         return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
@@ -397,7 +397,7 @@ class Provenance:
     cache_misses: int = 0
 
     def to_dict(self) -> dict[str, Any]:
-        """Plain-dict form for the JSON-lines protocol."""
+        """Plain-dict form for the wire protocol."""
         return {
             "backend": self.backend,
             "engine": self.engine,

@@ -59,7 +59,7 @@ class WorkerConfig:
         prefix: Wrap the provider in prefix-aggregate tables.
         host: Bind host.
         service_kwargs: Extra :class:`~repro.api.service.TsubasaService`
-            arguments (``max_workers``, ``result_cache``, ...).
+            arguments (``result_cache``, ...).
         server_kwargs: Extra :class:`~repro.api.server.TsubasaServer`
             arguments (``max_inflight``, ``auth_token``, ...). Callables
             (e.g. an auth hook) must be picklable.

@@ -21,9 +21,10 @@ Subcommands mirror the system's life cycle::
     tsubasa sweep    --store sketch.db --windows 15 --stride 5 --theta 0.75
     tsubasa info     --store sketch.db
     tsubasa trim     --store sketch.mm           # drop trailing capacity
-    tsubasa serve    --store sketch.mm --backend mmap --workers 4
     tsubasa serve    --store sketch.mm --backend mmap --http 0.0.0.0:8787 \
                      --stream-data data.npz      # HTTP + WS, live stream
+    tsubasa serve    --store sketch.mm --backend mmap --http 0.0.0.0:8787 \
+                     --workers 4                 # 4 acceptor processes
 
 Datasets travel as ``.npz`` archives with ``values``/``names``/``lats``/
 ``lons`` arrays (see ``tsubasa generate``). Sketches live either in SQLite
@@ -46,13 +47,11 @@ regardless of their length; the mmap backend picks up tables persisted with
 
 Query commands are thin shells over the declarative query API
 (:mod:`repro.api`): they build a :class:`~repro.api.spec.QuerySpec` and hand
-it to a :class:`~repro.api.client.TsubasaClient`. ``tsubasa serve`` exposes
-that surface directly as a long-lived service speaking the versioned wire
-protocol (:mod:`repro.api.protocol`): by default as JSON-lines on
-stdin/stdout (each input line a request frame, each output line a
-completion envelope), or — with ``--http HOST:PORT`` — as a socket server
-speaking HTTP/1.1 and WebSockets (:mod:`repro.api.server`), including
-streaming ``subscribe`` ops when ``--stream-data`` attaches a live replay.
+it to a :class:`~repro.api.client.TsubasaClient`. ``tsubasa serve --http
+HOST:PORT`` exposes that surface directly as a long-lived socket server
+speaking the versioned wire protocol (:mod:`repro.api.protocol`) over
+HTTP/1.1 and WebSockets (:mod:`repro.api.server`), including streaming
+``subscribe`` ops when ``--stream-data`` attaches a live replay.
 Concurrent requests over the same window share one matrix computation
 (:class:`~repro.api.service.TsubasaService`).
 
@@ -388,39 +387,6 @@ def _cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
-async def _serve_jsonl(server, source, args: argparse.Namespace) -> int:
-    """The default ``serve`` loop: JSON lines on stdin/stdout.
-
-    :meth:`~repro.api.server.TsubasaServer.serve_json_lines` does the
-    serving; this adds the live stream and the closing stderr summary. The
-    summary counts what the *consumer observed*: ``ok`` and ``failed`` are
-    envelopes actually emitted (``failed`` includes malformed frames,
-    broken out as ``malformed``), and responses completed after a consumer
-    hangup are reported as ``discarded`` instead of being silently folded
-    into the success count.
-    """
-    async with server.pumping(source, interval=args.stream_interval):
-        seen = await server.serve_json_lines(
-            sys.stdin, sys.stdout, max_pending=args.max_pending
-        )
-    await server.aclose()
-    stats = server.service.stats()
-    hangup_note = (
-        f", {seen['discarded']} discarded after hangup"
-        if seen["discarded"]
-        else ""
-    )
-    print(
-        f"served {seen['ok']} ok / {seen['failed']} "
-        f"failed ({seen['malformed']} malformed, {stats.coalesced} coalesced, "
-        f"{stats.matrices_computed} matrices computed, "
-        f"{stats.result_cache_hits} cache hits"
-        f"{hangup_note})",
-        file=sys.stderr,
-    )
-    return 0
-
-
 def _replay_forever(values, batch_size: int, start: int):
     """An endless simulated live feed: replay the dataset, then loop.
 
@@ -475,34 +441,20 @@ def _open_stream(client: TsubasaClient, args: argparse.Namespace):
 
 
 async def _serve(client: TsubasaClient, args: argparse.Namespace) -> int:
-    """Single-process ``serve``: one server core behind stdin or a socket."""
+    """Single-process ``serve``: the socket adapters until SIGINT/SIGTERM."""
+    import signal
+
     from repro.api.server import TsubasaServer
 
-    service = TsubasaService(
-        client,
-        max_workers=args.workers,
-        result_cache=args.result_cache,
-    )
     hub, source = _open_stream(client, args)
-    if not args.http:
-        # The in-flight caps and auth police socket clients; stdin has none.
-        server = TsubasaServer(service, hub=hub, send_buffer=args.send_buffer)
-        return await _serve_jsonl(server, source, args)
     server = TsubasaServer(
-        service,
+        TsubasaService(client, result_cache=args.result_cache),
         hub=hub,
         max_inflight=args.max_inflight,
         send_buffer=args.send_buffer,
         max_inflight_total=args.max_inflight_total or None,
         auth_token=args.auth_token or None,
     )
-    return await _serve_http(server, source, args)
-
-
-async def _serve_http(server, source, args: argparse.Namespace) -> int:
-    """The ``serve --http`` loop: the socket adapters until SIGINT/SIGTERM."""
-    import signal
-
     host, port = _parse_listen_address(args.http)
     try:
         await server.start(host=host, port=port)
@@ -545,7 +497,7 @@ async def _serve_http(server, source, args: argparse.Namespace) -> int:
 
 
 def _serve_supervised(args: argparse.Namespace) -> int:
-    """``serve --http --workers N``: N ``SO_REUSEPORT`` acceptor processes.
+    """``serve --workers N``: N ``SO_REUSEPORT`` acceptor processes.
 
     The parent validates the store, spawns the supervisor, prints the
     resolved address, and sleeps until SIGTERM/SIGINT — then drains every
@@ -572,10 +524,7 @@ def _serve_supervised(args: argparse.Namespace) -> int:
         data=args.data,
         prefix=args.prefix,
         host=host,
-        service_kwargs={
-            "max_workers": 1,
-            "result_cache": args.result_cache,
-        },
+        service_kwargs={"result_cache": args.result_cache},
         server_kwargs={
             "max_inflight": args.max_inflight,
             "send_buffer": args.send_buffer,
@@ -628,7 +577,7 @@ def _serve_supervised(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise DataError("--workers must be >= 1")
-    if args.http and args.workers > 1:
+    if args.workers > 1:
         return _serve_supervised(args)
     with _open_store(args.store) as store:
         return asyncio.run(_serve(_open_client(store, args), args))
@@ -781,62 +730,51 @@ def build_parser() -> argparse.ArgumentParser:
 
     sv = sub.add_parser(
         "serve",
-        help="long-lived query service (JSON-lines stdin, or --http socket)",
-        description="By default, read one wire-protocol request frame per "
-                    "input line ({'protocol': 1, 'id': ..., 'spec': {...}} "
-                    "or the inline legacy form) and write one completion "
-                    "envelope per line. With --http HOST:PORT, serve the "
-                    "same protocol over HTTP/1.1 (POST /v1/query, "
-                    "/v1/batch, GET /v1/stats, /healthz) and WebSockets "
-                    "(/v1/ws, including streaming 'subscribe' ops). "
-                    "Concurrent requests over the same window share a "
-                    "single matrix computation.",
+        help="long-lived query service over HTTP/1.1 + WebSockets",
+        description="Serve the wire protocol ({'protocol': 1, 'id': ..., "
+                    "'spec': {...}} request frames) on --http HOST:PORT "
+                    "over HTTP/1.1 (POST /v1/query, /v1/batch, GET "
+                    "/v1/stats, /healthz) and WebSockets (/v1/ws, "
+                    "including streaming 'subscribe' ops). Concurrent "
+                    "requests over the same window share a single matrix "
+                    "computation.",
     )
     sv.add_argument("--store", required=True)
     sv.add_argument("--workers", type=int, default=1,
-                    help="stdin mode: executor threads computing direct-path "
-                         "and approx matrices (prefix-table answers run "
-                         "inline on the event loop). "
-                         "With --http, N > 1 instead spawns N SO_REUSEPORT "
-                         "acceptor processes sharing the port, each with "
-                         "its own event loop and service (restarted on "
-                         "crash, drained on SIGTERM)")
-    sv.add_argument("--max-pending", type=int, default=256,
-                    help="responses allowed ahead of the printer before the "
-                         "reader pauses stdin (bounds in-flight memory)")
+                    help="acceptor processes: N > 1 spawns N SO_REUSEPORT "
+                         "processes sharing the port, each with its own "
+                         "event loop and service (restarted on crash, "
+                         "drained on SIGTERM)")
     sv.add_argument("--result-cache", type=int, default=64,
                     help="finished matrices kept in a bounded LRU and "
                          "replayed to repeat queries (0 disables)")
-    sv.add_argument("--http", metavar="HOST:PORT", default=None,
-                    help="serve over a socket instead of stdin/stdout: "
-                         "HTTP/1.1 + WebSockets on this address (port 0 "
-                         "binds an ephemeral port, announced on stderr)")
+    sv.add_argument("--http", metavar="HOST:PORT", required=True,
+                    help="listen for HTTP/1.1 + WebSockets on this address "
+                         "(port 0 binds an ephemeral port, announced on "
+                         "stderr)")
     sv.add_argument("--max-inflight", type=int, default=64,
-                    help="HTTP/WS mode: concurrent requests allowed per "
-                         "connection before excess ones are rejected")
+                    help="concurrent requests allowed per connection "
+                         "before excess ones are rejected")
     sv.add_argument("--send-buffer", type=int, default=64,
-                    help="per-client send queue bound in frames (WS), and "
-                         "each subscription's event buffer (WS and stdin); "
-                         "consumers that fall further behind are "
-                         "disconnected (slow-consumer policy)")
+                    help="per-client WebSocket send queue bound in frames, "
+                         "and each subscription's event buffer; consumers "
+                         "that fall further behind are disconnected "
+                         "(slow-consumer policy)")
     sv.add_argument("--max-inflight-total", type=int, default=0,
-                    help="HTTP/WS mode: server-wide cap on concurrently "
-                         "executing requests; excess requests are shed "
-                         "with an 'overloaded' error envelope (HTTP 503). "
-                         "0 = unlimited. Per acceptor process with "
-                         "--workers N")
+                    help="server-wide cap on concurrently executing "
+                         "requests; excess requests are shed with an "
+                         "'overloaded' error envelope (HTTP 503). 0 = "
+                         "unlimited. Per acceptor process with --workers N")
     sv.add_argument("--auth-token", default=None,
-                    help="HTTP/WS mode: require 'Authorization: Bearer "
-                         "<token>' on every request except /healthz "
-                         "(plaintext on the wire: terminate TLS in front, "
-                         "see README)")
+                    help="require 'Authorization: Bearer <token>' on "
+                         "every request except /healthz (plaintext on the "
+                         "wire: terminate TLS in front, see README)")
     sv.add_argument("--stream-data", default=None,
                     help="replay this dataset through a realtime engine as "
                          "an endless simulated live feed (tail beyond the "
                          "sketched range first, then looping) so clients "
-                         "can 'subscribe' to network updates — over "
-                         "WebSockets with --http, or as JSON lines on "
-                         "stdout in stdin mode")
+                         "can 'subscribe' to network updates over "
+                         "WebSockets")
     sv.add_argument("--stream-theta", type=float, default=0.75,
                     help="base threshold of the realtime stream "
                          "(subscriptions may ask for higher)")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import json
 
 import numpy as np
@@ -335,97 +334,40 @@ class TestTopk:
 
 
 class TestServe:
-    """The JSON-lines query service on stdin/stdout."""
+    """``tsubasa serve``: HTTP/WebSockets only."""
 
-    def serve(self, monkeypatch, capsys, store, lines, extra_args=()):
-        monkeypatch.setattr(
-            "sys.stdin", io.StringIO("".join(line + "\n" for line in lines))
-        )
-        code = main(["serve", "--store", str(store), *extra_args])
-        captured = capsys.readouterr()
-        return code, [json.loads(l) for l in captured.out.splitlines()], captured.err
+    class _NoStdin:
+        """A stdin that fails the test if anything reads it."""
 
-    def test_serves_specs_in_order(self, store_file, monkeypatch, capsys):
-        code, responses, err = self.serve(
-            monkeypatch, capsys, store_file,
-            [
-                '{"id": "net", "op": "network", '
-                '"window": {"end": 399, "length": 200}, "theta": 0.4}',
-                '{"id": "tk", "op": "top_k", '
-                '"window": {"end": 399, "length": 200}, "k": 3}',
-            ],
-        )
-        assert code == 0
-        assert [r["id"] for r in responses] == ["net", "tk"]
-        assert all(r["ok"] for r in responses)
-        assert responses[0]["result"]["n_nodes"] == 12
-        assert len(responses[1]["result"]["pairs"]) == 3
-        assert responses[0]["provenance"]["backend"] == "memory"
-        assert "served 2 ok / 0 failed" in err
+        def _refuse(self, *args):
+            raise AssertionError("serve read stdin")
 
-    def test_duplicate_windows_coalesce(self, store_file, monkeypatch, capsys):
-        lines = [
-            json.dumps({"op": "degree",
-                        "window": {"end": 399, "length": 200},
-                        "theta": 0.4})
-        ] * 6
-        code, responses, err = self.serve(
-            monkeypatch, capsys, store_file, lines
-        )
-        assert code == 0
-        assert len(responses) == 6
-        assert all(r["ok"] for r in responses)
-        degrees = {json.dumps(r["result"], sort_keys=True) for r in responses}
-        assert len(degrees) == 1
-        # Every duplicate is deduplicated one way or the other: coalesced
-        # onto the in-flight computation, or replayed from the serve
-        # default's result cache once the first completed. Which of the two
-        # fires depends on arrival timing; recomputation never does.
-        deduplicated = sum(
-            r["provenance"]["coalesced"] or r["provenance"]["cache"]
-            for r in responses
-        )
-        assert deduplicated == 5
-        assert "1 matrices computed" in err
+        read = readline = readlines = __iter__ = _refuse
 
-    def test_bad_requests_get_error_envelopes(
-        self, store_file, monkeypatch, capsys
-    ):
-        code, responses, err = self.serve(
-            monkeypatch, capsys, store_file,
-            [
-                "this is not json",
-                '{"op": "nope", "window": {"end": 399, "length": 200}}',
-                '{"op": "matrix", "window": {"end": 399, "length": 123}}',
-                '{"op": "matrix", "window": {"end": 399, "length": 200}}',
-            ],
-        )
-        assert code == 0  # bad requests never kill the service
-        assert [r["ok"] for r in responses] == [False, False, False, True]
-        assert responses[0]["error"]["type"] == "JSONDecodeError"
-        assert responses[1]["error"]["type"] == "DataError"
-        assert responses[1]["error"]["code"] == 3
-        assert responses[2]["error"]["type"] == "SketchError"
-        assert responses[2]["error"]["code"] == 2
-        # The summary counts parse-stage rejections alongside query failures.
-        assert "3 failed" in err
-        assert "2 malformed" in err
+    def test_requires_http(self, store_file, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", self._NoStdin())
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--store", str(store_file)])
+        assert exc.value.code == 2
+        assert "--http" in capsys.readouterr().err
 
-    def test_blank_lines_skipped(self, store_file, monkeypatch, capsys):
-        code, responses, _ = self.serve(
-            monkeypatch, capsys, store_file,
-            ["", '{"op": "matrix", "window": {"end": 399, "length": 200}}', ""],
-        )
-        assert code == 0
-        assert len(responses) == 1
+    def test_max_pending_is_gone(self, store_file, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", self._NoStdin())
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--store", str(store_file), "--max-pending", "1",
+                  "--http", "127.0.0.1:0"])
+        assert exc.value.code == 2
+        assert "--max-pending" in capsys.readouterr().err
 
-    def test_non_library_errors_become_envelopes(
-        self, store_file, monkeypatch, capsys
-    ):
+    def test_non_library_errors_become_envelopes(self, store_file, monkeypatch):
         """A request whose computation raises an unexpected (non-Tsubasa)
-        error gets an error envelope; later requests still get responses
-        and the process exits cleanly."""
+        error gets an error envelope over HTTP; the next request still
+        succeeds."""
+        import http.client
+
         from repro.api.client import TsubasaClient
+        from repro.api.server import serve_in_thread
+        from repro.cli import _open_client, _open_store, build_parser
 
         real = TsubasaClient.compute_matrix
 
@@ -436,79 +378,26 @@ class TestServe:
 
         monkeypatch.setattr(TsubasaClient, "compute_matrix",
                             explode_on_short_window)
-        code, responses, err = self.serve(
-            monkeypatch, capsys, store_file,
-            [
-                '{"op": "matrix", "window": {"end": 399, "length": 50}}',
-                '{"op": "matrix", "window": {"end": 399, "length": 200}}',
-            ],
+        args = build_parser().parse_args(
+            ["serve", "--store", str(store_file), "--http", "127.0.0.1:0"]
         )
-        assert code == 0
-        assert [r["ok"] for r in responses] == [False, True]
-        assert responses[0]["error"]["type"] == "RuntimeError"
-        assert "numpy blew up" in responses[0]["error"]["message"]
-        assert "Traceback" not in err
-
-    def test_bounded_pending_preserves_order(
-        self, store_file, monkeypatch, capsys
-    ):
-        """--max-pending 1 forces the reader to wait on the printer; every
-        response still arrives, in submission order."""
-        lines = [
-            json.dumps({"id": i, "op": "degree",
-                        "window": {"end": 399, "length": 200},
-                        "theta": 0.4})
-            for i in range(10)
-        ]
-        monkeypatch.setattr(
-            "sys.stdin", io.StringIO("".join(line + "\n" for line in lines))
-        )
-        code = main(["serve", "--store", str(store_file),
-                     "--max-pending", "1"])
-        captured = capsys.readouterr()
-        responses = [json.loads(l) for l in captured.out.splitlines()]
-        assert code == 0
-        assert [r["id"] for r in responses] == list(range(10))
-        assert all(r["ok"] for r in responses)
-
-    def test_consumer_hangup_exits_cleanly(
-        self, store_file, monkeypatch, capsys
-    ):
-        """A broken stdout pipe (e.g. `serve | head`) must not crash serve
-        or wedge the reader against the bounded response queue."""
-        import sys as _sys
-
-        class BrokenAfterOne:
-            def __init__(self, real):
-                self.real = real
-                self.writes = 0
-
-            def write(self, text):
-                self.writes += 1
-                if self.writes > 1:
-                    raise BrokenPipeError("consumer gone")
-                return self.real.write(text)
-
-            def flush(self):
-                self.real.flush()
-
-        broken = BrokenAfterOne(_sys.stdout)
-        monkeypatch.setattr(
-            "sys.stdin",
-            io.StringIO(
-                "".join(
-                    json.dumps({"op": "matrix",
-                                "window": {"end": 399, "length": 200}}) + "\n"
-                    for _ in range(6)
+        replies = []
+        with _open_store(args.store) as store:
+            with serve_in_thread(_open_client(store, args)) as server:
+                conn = http.client.HTTPConnection(
+                    server.host, server.port, timeout=30
                 )
-            ),
-        )
-        monkeypatch.setattr("sys.stdout", broken)
-        code = main(["serve", "--store", str(store_file),
-                     "--max-pending", "2"])
-        captured = capsys.readouterr()
-        assert code == 0  # no traceback, no hang
-        assert len(captured.out.splitlines()) == 1  # one response got out
+                for length in (50, 200):
+                    frame = {"spec": {"op": "matrix",
+                                      "window": {"end": 399,
+                                                 "length": length}}}
+                    conn.request("POST", "/v1/query",
+                                 body=json.dumps(frame).encode())
+                    replies.append(json.loads(conn.getresponse().read()))
+                conn.close()
+        assert [r["ok"] for r in replies] == [False, True]
+        assert replies[0]["error"]["type"] == "RuntimeError"
+        assert "numpy blew up" in replies[0]["error"]["message"]
 
 
 class TestSweep:
@@ -565,194 +454,6 @@ class TestMap:
         # The map body has 8 rows of width 30.
         map_lines = [l for l in out.split("\n") if len(l) == 30]
         assert len(map_lines) >= 8
-
-
-class TestServeProtocolFrames:
-    """The JSON-lines mode speaks the versioned wire protocol."""
-
-    def serve(self, monkeypatch, capsys, store, lines, extra_args=()):
-        monkeypatch.setattr(
-            "sys.stdin", io.StringIO("".join(line + "\n" for line in lines))
-        )
-        code = main(["serve", "--store", str(store), *extra_args])
-        captured = capsys.readouterr()
-        return code, [json.loads(l) for l in captured.out.splitlines()], captured.err
-
-    def test_framed_requests(self, store_file, monkeypatch, capsys):
-        code, responses, err = self.serve(
-            monkeypatch, capsys, store_file,
-            [
-                json.dumps({
-                    "protocol": 1,
-                    "id": "framed-1",
-                    "spec": {"op": "top_k",
-                             "window": {"end": 399, "length": 200}, "k": 2},
-                }),
-            ],
-        )
-        assert code == 0
-        assert responses[0]["id"] == "framed-1"
-        assert responses[0]["ok"] is True
-        assert responses[0]["protocol"] == 1
-        assert len(responses[0]["result"]["pairs"]) == 2
-        assert "served 1 ok / 0 failed" in err
-
-    def test_version_mismatch_rejected(self, store_file, monkeypatch, capsys):
-        code, responses, err = self.serve(
-            monkeypatch, capsys, store_file,
-            [
-                json.dumps({
-                    "protocol": 9,
-                    "id": "future",
-                    "spec": {"op": "matrix",
-                             "window": {"end": 399, "length": 200}},
-                }),
-            ],
-        )
-        assert code == 0
-        assert responses[0]["ok"] is False
-        assert "unsupported protocol version 9" in responses[0]["error"]["message"]
-        assert responses[0]["id"] == "future"
-        assert "1 malformed" in err
-
-    def test_subscribe_rejected_on_stdin(self, store_file, monkeypatch, capsys):
-        code, responses, _ = self.serve(
-            monkeypatch, capsys, store_file,
-            [
-                json.dumps({"op": "subscribe",
-                            "window": {"start": 0, "stop": 400},
-                            "theta": 0.5}),
-            ],
-        )
-        assert code == 0
-        assert responses[0]["ok"] is False
-        assert "--http" in responses[0]["error"]["message"]
-
-    def test_hangup_reports_discarded_responses(
-        self, store_file, monkeypatch, capsys
-    ):
-        """The summary counts what the consumer saw; completions after a
-        hangup are 'discarded', not silently folded into ok."""
-        import sys as _sys
-
-        class BrokenAfterOne:
-            def __init__(self, real):
-                self.real = real
-                self.writes = 0
-
-            def write(self, text):
-                self.writes += 1
-                if self.writes > 1:
-                    raise BrokenPipeError("consumer gone")
-                return self.real.write(text)
-
-            def flush(self):
-                self.real.flush()
-
-        monkeypatch.setattr(
-            "sys.stdin",
-            io.StringIO(
-                "".join(
-                    json.dumps({"op": "matrix",
-                                "window": {"end": 399, "length": 200}}) + "\n"
-                    for _ in range(5)
-                )
-            ),
-        )
-        monkeypatch.setattr("sys.stdout", BrokenAfterOne(_sys.stdout))
-        code = main(["serve", "--store", str(store_file)])
-        captured = capsys.readouterr()
-        assert code == 0
-        assert len(captured.out.splitlines()) == 1
-        assert "served 1 ok / 0 failed" in captured.err
-        assert "discarded after hangup" in captured.err
-
-
-class TestServeStdinSubscribe:
-    """`--stream-data` wires the subscribe op through the stdin transport."""
-
-    class _BreaksAfter:
-        """A stdout that hangs up after N lines — the only way to end an
-        endless replay-driven subscription deterministically in a test."""
-
-        def __init__(self, real, allowed):
-            self.real = real
-            self.allowed = allowed
-
-        def write(self, text):
-            if self.allowed <= 0:
-                raise BrokenPipeError("consumer gone")
-            self.allowed -= 1
-            return self.real.write(text)
-
-        def flush(self):
-            self.real.flush()
-
-    def test_subscribe_streams_events_as_json_lines(
-        self, store_file, dataset_file, monkeypatch, capsys
-    ):
-        import sys as _sys
-
-        monkeypatch.setattr(
-            "sys.stdin",
-            io.StringIO(json.dumps({
-                "protocol": 1,
-                "id": "sub-1",
-                "spec": {"op": "subscribe",
-                         "window": {"end": 399, "length": 400},
-                         "theta": 0.8},
-            }) + "\n"),
-        )
-        monkeypatch.setattr(
-            "sys.stdout", self._BreaksAfter(_sys.stdout, allowed=3)
-        )
-        code = main([
-            "serve", "--store", str(store_file),
-            "--stream-data", str(dataset_file),
-            "--stream-interval", "0.01",
-        ])
-        captured = capsys.readouterr()
-        lines = [json.loads(l) for l in captured.out.splitlines()]
-        assert code == 0
-        assert len(lines) == 3
-        ack, *events = lines
-        assert ack["id"] == "sub-1" and ack["ok"] is True
-        assert ack["result"]["subscribed"] is True
-        assert ack["result"]["window_points"] == 400
-        for seq, event in enumerate(events):
-            assert event["id"] == "sub-1"
-            assert event["seq"] == seq
-            assert "n_edges" in event["event"]
-        assert "served 3 ok / 0 failed" in captured.err
-        assert "discarded after hangup" in captured.err
-
-    def test_subscribe_theta_below_base_is_an_error_envelope(
-        self, store_file, dataset_file, monkeypatch, capsys
-    ):
-        monkeypatch.setattr(
-            "sys.stdin",
-            io.StringIO(json.dumps({
-                "protocol": 1,
-                "id": "low",
-                "spec": {"op": "subscribe",
-                         "window": {"end": 399, "length": 400},
-                         "theta": 0.5},
-            }) + "\n"),
-        )
-        code = main([
-            "serve", "--store", str(store_file),
-            "--stream-data", str(dataset_file),
-            "--stream-interval", "0.01",
-        ])
-        captured = capsys.readouterr()
-        lines = [json.loads(l) for l in captured.out.splitlines()]
-        assert code == 0
-        assert len(lines) == 1
-        assert lines[0]["ok"] is False
-        assert lines[0]["id"] == "low"
-        assert "base threshold" in lines[0]["error"]["message"]
-        # A well-formed request the hub refuses is failed, not malformed.
-        assert "0 malformed" in captured.err
 
 
 class TestTrimCli:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 
 import numpy as np
@@ -18,6 +19,7 @@ from repro.api.protocol import (
     parse_request,
     value_from_payload,
 )
+from repro.api.server import serve_in_thread
 from repro.api.spec import QuerySpec, WindowSpec
 from repro.core.sketch import build_sketch
 from repro.engine.providers import InMemoryProvider
@@ -59,17 +61,28 @@ class TestRequestFrames:
         assert parsed.spec == request.spec
         assert parsed.id == "dash-7"
 
-    def test_inline_legacy_form(self):
-        """The pre-protocol serve format still parses into the same frame."""
-        payload = {
-            "id": 3,
-            "op": "network",
-            "window": {"end": 599, "length": 200},
-            "theta": 0.5,
-        }
-        parsed = parse_request(payload)
-        assert parsed.spec == spec_for("network")
-        assert parsed.id == 3
+    def test_inline_form_is_rejected(self, small_dataset):
+        """Spec fields at the frame's top level are not a request frame,
+        neither to ``parse_request`` nor over HTTP ``/v1/query``."""
+        inline = {"id": 3, **spec_for("network").to_dict()}
+        with pytest.raises(DataError, match="no 'spec'"):
+            parse_request(inline)
+        provider = InMemoryProvider(
+            build_sketch(small_dataset.values, 50, names=small_dataset.names)
+        )
+        with serve_in_thread(TsubasaClient(provider=provider)) as server:
+            conn = http.client.HTTPConnection(
+                server.host, server.port, timeout=10
+            )
+            conn.request("POST", "/v1/query", body=json.dumps(inline).encode())
+            response = conn.getresponse()
+            payload = json.loads(response.read())
+            conn.close()
+        assert response.status == 400
+        assert payload["ok"] is False
+        assert payload["id"] == 3
+        assert payload["error"]["type"] == "DataError"
+        assert payload["error"]["code"] == 3
 
     def test_missing_id_is_none(self):
         parsed = parse_request({"spec": spec_for("matrix").to_dict()})

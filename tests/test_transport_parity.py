@@ -1,12 +1,12 @@
-"""The JSON-lines and WebSocket transports answer bad frames alike.
+"""The HTTP and WebSocket transports answer bad frames alike.
 
-Both run the server's one request core: the same parse and id fallback,
-the same subscription checks. Each transport here is configured through the
-CLI's own helpers from the same flags, receives the same frames, and must
-reject each with the same error ``type`` and ``code``. The one permitted
-difference is the id of a frame whose own id is invalid: stdin answers it
-under the frame's line number, a WebSocket (which has no line numbers)
-under no id.
+Both run the server's one request core: the same parse, the same error
+envelopes, the same subscription checks. Each server here is configured
+through the CLI's own helpers from the same flags, receives the same frames,
+and must reject each with the same error ``type`` and ``code``. A frame
+whose own id is invalid is answered under no id on both. ``subscribe``
+frames run over WebSocket only: HTTP answers every one of them with the
+"connect to /v1/ws" error, whatever the stream's state.
 
 A valid non-aligned query, served from an mmap store's prefix tables plus
 its raw head/tail fragments, must come back identical over HTTP and
@@ -15,7 +15,8 @@ WebSocket with protocols v1 and v2.
 
 from __future__ import annotations
 
-import io
+import contextlib
+import http.client
 import json
 
 import numpy as np
@@ -29,14 +30,18 @@ from repro.core.prefix import PREFIX_ATOL
 
 STANDING = {"end": 399, "length": 400}  # every window the store holds
 
-#: (frame, expected error type, expected error code) on a live server.
-LIVE_FRAMES = [
+#: (frame, expected error type, expected error code) on any server.
+COMMON_FRAMES = [
     ({"protocol": 1, "id": True, "spec": {"op": "matrix", "window": STANDING}},
      "DataError", 3),
     ({"protocol": 1, "id": [1], "spec": {"op": "matrix", "window": STANDING}},
      "DataError", 3),
     ({"protocol": 1, "id": "op", "spec": {"op": "nope", "window": STANDING}},
      "DataError", 3),
+]
+
+#: The same, plus the subscribe frames a live server rejects.
+LIVE_FRAMES = COMMON_FRAMES + [
     ({"protocol": 1, "id": "window",
       "spec": {"op": "subscribe", "window": {"end": 399, "length": 200},
                "theta": 0.8}},
@@ -46,8 +51,8 @@ LIVE_FRAMES = [
      "StreamError", 6),
 ]
 
-#: The same frame sent to a server without a live stream.
-NO_STREAM_FRAMES = [
+#: The same, plus a subscribe sent to a server without a live stream.
+NO_STREAM_FRAMES = COMMON_FRAMES + [
     ({"protocol": 1, "id": "dead",
       "spec": {"op": "subscribe", "window": STANDING, "theta": 0.8}},
      "ServiceError", 7),
@@ -70,38 +75,16 @@ def store_file(dataset_file):
     return path
 
 
-def _valid_id(frame):
-    frame_id = frame.get("id")
-    if isinstance(frame_id, (str, int)) and not isinstance(frame_id, bool):
-        return frame_id
-    return None
-
-
 def _serve_args(store, dataset, live):
-    argv = ["serve", "--store", str(store)]
+    argv = ["serve", "--store", str(store), "--http", "127.0.0.1:0"]
     if live:
         argv += ["--stream-data", str(dataset), "--stream-interval", "0.01"]
     return argv
 
 
-def _over_stdin(monkeypatch, capsys, store, dataset, frames, live):
-    monkeypatch.setattr(
-        "sys.stdin",
-        io.StringIO("".join(json.dumps(frame) + "\n" for frame in frames)),
-    )
-    assert main(_serve_args(store, dataset, live)) == 0
-    by_id = {}
-    for line in capsys.readouterr().out.splitlines():
-        envelope = json.loads(line)
-        by_id[envelope["id"]] = envelope
-    # A frame without a valid id of its own is answered under its line.
-    return [
-        by_id[_valid_id(frame) if _valid_id(frame) is not None else number]
-        for number, frame in enumerate(frames, start=1)
-    ]
-
-
-def _over_ws(store, dataset, frames, live):
+@contextlib.contextmanager
+def _served(store, dataset, live):
+    """A server built by the CLI's helpers from ``serve``'s own flags."""
     args = build_parser().parse_args(_serve_args(store, dataset, live))
     with _open_store(args.store) as handle:
         client = _open_client(handle, args)
@@ -114,27 +97,39 @@ def _over_ws(store, dataset, frames, live):
             server_kwargs={"send_buffer": args.send_buffer},
         )
         try:
-            conn = _WsClientConnection(server.host, server.port, timeout=30)
-            replies = []
-            for frame in frames:
-                conn.send_text(json.dumps(frame))
-                replies.append(json.loads(conn.recv_message()))
-            conn.close()
+            yield server
         finally:
             server.stop()
+
+
+def _over_http(server, frames):
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=30)
+    replies = []
+    for frame in frames:
+        conn.request("POST", "/v1/query", body=json.dumps(frame).encode())
+        replies.append(json.loads(conn.getresponse().read()))
+    conn.close()
     return replies
 
 
-@pytest.fixture(params=["stdin", "ws"])
-def exchange(request, monkeypatch, capsys, store_file, dataset_file):
+def _over_ws(server, frames):
+    conn = _WsClientConnection(server.host, server.port, timeout=30)
+    replies = []
+    for frame in frames:
+        conn.send_text(json.dumps(frame))
+        replies.append(json.loads(conn.recv_message()))
+    conn.close()
+    return replies
+
+
+@pytest.fixture(params=["http", "ws"])
+def exchange(request, store_file, dataset_file):
     """Send frames over one transport; the replies, in frame order."""
 
     def run(frames, live):
-        if request.param == "stdin":
-            return _over_stdin(
-                monkeypatch, capsys, store_file, dataset_file, frames, live
-            )
-        return _over_ws(store_file, dataset_file, frames, live)
+        send = _over_http if request.param == "http" else _over_ws
+        with _served(store_file, dataset_file, live) as server:
+            return send(server, frames)
 
     run.transport = request.param
     return run
@@ -146,17 +141,18 @@ def exchange(request, monkeypatch, capsys, store_file, dataset_file):
     ids=["live", "no-stream"],
 )
 def test_bad_frames_get_the_same_errors(exchange, frames, live):
+    if exchange.transport == "http":
+        frames = COMMON_FRAMES  # the subscribe rows are WebSocket only
     replies = exchange([frame for frame, _, _ in frames], live)
     got = [(r["ok"], r["error"]["type"], r["error"]["code"]) for r in replies]
     assert got == [(False, kind, code) for _, kind, code in frames]
 
 
 def test_invalid_id_is_never_echoed(exchange):
-    frames = [frame for frame, _, _ in LIVE_FRAMES[:2]]
+    frames = [frame for frame, _, _ in COMMON_FRAMES[:2]]
     replies = exchange(frames, False)
     # Compared as JSON, so an echoed ``true`` cannot pass for ``1``.
-    fallback = "[1, 2]" if exchange.transport == "stdin" else "[null, null]"
-    assert json.dumps([reply["id"] for reply in replies]) == fallback
+    assert json.dumps([reply["id"] for reply in replies]) == "[null, null]"
 
 
 def test_non_aligned_query_rides_the_prefix_path_on_every_wire(dataset_file):
@@ -166,7 +162,7 @@ def test_non_aligned_query_rides_the_prefix_path_on_every_wire(dataset_file):
     assert main(argv) == 0
     args = build_parser().parse_args(
         ["serve", "--store", str(store), "--backend", "mmap",
-         "--data", str(dataset_file)]
+         "--data", str(dataset_file), "--http", "127.0.0.1:0"]
     )
     # Points 16..386: a head fragment, windows 1..6, a tail fragment.
     spec = QuerySpec(op="matrix", window=WindowSpec(end=386, length=371))
